@@ -17,7 +17,8 @@
 //! * `search-scaling` — the same S3 search pinned to 1/2/4/8 pool threads
 //! * `netsim`         — collective DES (Fig. A1 path)
 //! * `netsim-algorithms` — ring vs tree vs hierarchical vs auto AllReduce
-//!   schedules in the DES (the algorithm-selection validation path)
+//!   schedules in the DES (the algorithm-selection validation path), and
+//!   the `Auto` AllToAll of an MoE expert-parallel group
 //! * `trainsim`       — 1F1B schedule simulation (§IV validation path)
 //! * `serving-search` — the serving-objective planner sweep (every
 //!   candidate pays the analytic prefill/decode assessment across the
@@ -354,6 +355,14 @@ fn bench_netsim_algorithms(c: &mut Criterion) {
             b.iter(|| simulate_collective(Collective::AllReduce, 1e9, group, &sys, &opts))
         });
     }
+    // The MoE expert-parallel AllToAll shape the simulator replay runs.
+    let auto = SimOptions {
+        algorithm: Algorithm::Auto,
+        ..SimOptions::default()
+    };
+    g.bench_function("alltoall_auto_64x8_256mb", |b| {
+        b.iter(|| simulate_collective(Collective::AllToAll, 256e6, group, &sys, &auto))
+    });
     g.finish();
 }
 

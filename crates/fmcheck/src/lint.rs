@@ -31,10 +31,11 @@
 //!
 //! Files are classified by path ([`classify`]): `vendor/**` gets the
 //! relaxed vendor profile (only `vendor-safety`); `tests/`, `benches/`,
-//! `examples/`, `src/bin/` and `build.rs` get the test profile (no
-//! findings — panics are how tests fail); everything else is library
-//! code. Inside library files, `#[cfg(test)]` regions and `#[test]`
-//! functions are tracked by brace depth and treated as test code.
+//! `examples/`, `src/bin/`, `build.rs` and the standalone `fmbench/`
+//! benchmark get the test profile (no findings — panics are how tests
+//! fail); everything else is library code. Inside library files,
+//! `#[cfg(test)]` regions and `#[test]` functions are tracked by brace
+//! depth and treated as test code.
 
 use crate::lexer::{lex, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -125,9 +126,12 @@ pub fn classify(rel: &str) -> Profile {
         return Profile::Vendor;
     }
     let test_markers = ["/tests/", "/benches/", "/examples/", "/bin/"];
+    // `fmbench/` is the standalone benchmark binary (its own package,
+    // outside the workspace): the bench layer, like `benches/`.
     if test_markers.iter().any(|m| rel.contains(m))
         || rel.starts_with("tests/")
         || rel.starts_with("examples/")
+        || rel.starts_with("fmbench/")
         || rel.ends_with("build.rs")
     {
         return Profile::Test;
@@ -675,6 +679,7 @@ mod tests {
         assert!(lints_of("crates/demo/tests/it.rs", "fn f() { x.unwrap() }").is_empty());
         assert!(lints_of("crates/demo/examples/e.rs", "fn f() { x.unwrap() }").is_empty());
         assert!(lints_of("crates/demo/src/bin/cli.rs", "fn f() { x.unwrap() }").is_empty());
+        assert!(lints_of("fmbench/src/main.rs", "fn f() { Instant::now() }").is_empty());
     }
 
     #[test]

@@ -7,6 +7,9 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+#[cfg(test)]
+mod reference;
+
 /// A simulation that could not run to completion.
 ///
 /// The engine executes whatever flow set it is given; a flow set whose
@@ -52,7 +55,12 @@ impl std::error::Error for SimError {}
 pub struct EventStats {
     /// Completed link transfers.
     pub transfers: u64,
-    /// Heap re-insertions due to link contention.
+    /// Link-contention requeues: the number of heap re-insertions a
+    /// discipline that re-pushes every blocked transfer at its link's
+    /// free time would make. The engine instead parks a blocked transfer
+    /// in the link's wait queue and counts, in O(1), one requeue when it
+    /// starts waiting plus one for every other grant on its link that
+    /// moves the link's free time while it waits.
     pub requeues: u64,
 }
 
@@ -124,29 +132,38 @@ impl Flow {
     }
 }
 
-/// One pending transfer: piece `piece` of flow `flow` over the link at
-/// `path[hop]`.
+/// Ordering key of one link transfer: piece `piece` of flow `flow` over
+/// the link at `path[hop]`. Every transfer has a distinct key.
+type Key = (u32, u32, u32);
+
+/// One global-heap entry.
+///
+/// An *arrival* is transfer `key` becoming ready at its link at `time`.
+/// A *grant* entry stands for a link's wait queue: `time` is when the
+/// link frees and `key` its smallest waiter. Each link with waiters has
+/// exactly one current grant entry; entries superseded by a later change
+/// of the link's free time or smallest waiter are dropped when popped.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Transfer {
-    ready: f64,
-    flow: u32,
-    hop: u32,
-    piece: u32,
+struct Event {
+    time: f64,
+    key: Key,
+    grant: bool,
 }
 
-// Total order for the heap: earliest ready time first, deterministic
-// tie-breaking on (flow, hop, piece).
-impl Eq for Transfer {}
-impl Ord for Transfer {
+// Total order for the heap: earliest time first, deterministic
+// tie-breaking on the transfer key. An arrival and a grant entry never
+// share a key (a transfer arrives once and only then waits), so `grant`
+// only makes the order total.
+impl Eq for Event {}
+impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.ready
-            .total_cmp(&other.ready)
-            .then(self.flow.cmp(&other.flow))
-            .then(self.hop.cmp(&other.hop))
-            .then(self.piece.cmp(&other.piece))
+        self.time
+            .total_cmp(&other.time)
+            .then(self.key.cmp(&other.key))
+            .then(self.grant.cmp(&other.grant))
     }
 }
-impl PartialOrd for Transfer {
+impl PartialOrd for Event {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -156,6 +173,13 @@ impl PartialOrd for Transfer {
 /// flow split into `pieces` pieces. A piece may be forwarded as soon as it
 /// has been received (and its cross-flow dependencies have completed);
 /// each link carries one piece at a time.
+///
+/// A transfer that arrives at a busy link waits in that link's queue,
+/// ordered by `(flow, hop, piece)`; when the link frees it goes to the
+/// smallest waiter, unless an arrival at exactly that instant has a
+/// smaller key. This is the schedule of a single global heap ordered by
+/// `(ready, flow, hop, piece)` that re-pushes every blocked transfer at
+/// the link's free time, without the re-pushes.
 ///
 /// Returns the completion time of the last piece plus engine stats, or
 /// [`SimError::Stalled`] when the flow set cannot run to completion
@@ -168,7 +192,9 @@ pub(crate) fn simulate_flows(
 ) -> Result<SimResult, SimError> {
     let pieces = pieces.max(1) as usize;
     let mut link_free = vec![0.0f64; topo.len()];
-    let mut heap: BinaryHeap<Reverse<Transfer>> = BinaryHeap::new();
+    let mut waiting: Vec<BinaryHeap<Reverse<Key>>> =
+        (0..topo.len()).map(|_| BinaryHeap::new()).collect();
+    let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
     let mut stats = EventStats::default();
     let mut finish = 0.0f64;
 
@@ -176,19 +202,18 @@ pub(crate) fn simulate_flows(
     // crosses every hop of its path exactly once, so the completed
     // schedule executes exactly `expected` transfers; draining the heap
     // short of that means some pieces' gates never opened. The watchdog
-    // bounds total heap pops: each pop either executes a transfer or
-    // requeues behind a busy link, and a queued transfer requeues at
-    // most once per transfer that executes on its link ahead of it, so a
-    // healthy run pops O(expected²) events in the worst case — the
-    // budget is that with slack; tripping it means the loop is spinning
-    // without executing, which the requeue discipline (strictly
-    // advancing ready times) should make impossible. It is a defensive
-    // backstop; the heap-drain check below is the real detector.
+    // bounds total heap pops: each transfer is pushed as an arrival at
+    // most once, waits at most once, and each wait and each grant pushes
+    // at most one grant entry, so a healthy run pops at most
+    // `3 · expected` entries. The budget is that with slack; tripping it
+    // would mean the loop is spinning without executing. It is a
+    // defensive backstop; the heap-drain check below is the real
+    // detector.
     let expected: u64 = flows
         .iter()
         .map(|f| f.path.len() as u64 * pieces as u64)
         .sum();
-    let budget = 1024u64.saturating_add(expected.saturating_mul(expected.saturating_add(4)));
+    let budget = 1024u64.saturating_add(expected.saturating_mul(4));
     let mut pops = 0u64;
 
     // Dependency bookkeeping: dependents[f] lists the flows gated on f;
@@ -208,20 +233,22 @@ pub(crate) fn simulate_flows(
     let mut pending: Vec<Vec<usize>> = flows.iter().map(|f| vec![f.deps.len(); pieces]).collect();
     let mut gate: Vec<Vec<f64>> = flows.iter().map(|_| vec![0.0f64; pieces]).collect();
 
+    let arrival = |time: f64, key: Key| {
+        Reverse(Event {
+            time,
+            key,
+            grant: false,
+        })
+    };
     for (fi, f) in flows.iter().enumerate() {
         if f.deps.is_empty() {
             for p in 0..pieces {
-                heap.push(Reverse(Transfer {
-                    ready: 0.0,
-                    flow: fi as u32,
-                    hop: 0,
-                    piece: p as u32,
-                }));
+                heap.push(arrival(0.0, (fi as u32, 0, p as u32)));
             }
         }
     }
 
-    while let Some(Reverse(t)) = heap.pop() {
+    while let Some(Reverse(ev)) = heap.pop() {
         pops += 1;
         if pops > budget {
             return Err(SimError::Stalled {
@@ -229,44 +256,69 @@ pub(crate) fn simulate_flows(
                 expected,
             });
         }
-        let flow = &flows[t.flow as usize];
-        let link = flow.path[t.hop as usize];
-        let start = t.ready.max(link_free[link as usize]);
-        if start > t.ready {
-            // Link busy: requeue at the time it becomes free so ordering
-            // stays chronological.
+        let (fi, hop, piece) = ev.key;
+        let flow = &flows[fi as usize];
+        let link = flow.path[hop as usize] as usize;
+        let queue = &mut waiting[link];
+        if ev.grant {
+            if link_free[link] != ev.time || queue.peek() != Some(&Reverse(ev.key)) {
+                continue; // superseded
+            }
+            queue.pop();
+        } else if link_free[link] > ev.time {
+            // Link busy: wait in its queue. Counted as one requeue, as the
+            // re-push discipline would.
             stats.requeues += 1;
-            heap.push(Reverse(Transfer { ready: start, ..t }));
+            if queue.peek().is_none_or(|&Reverse(min)| ev.key < min) {
+                heap.push(Reverse(Event {
+                    time: link_free[link],
+                    key: ev.key,
+                    grant: true,
+                }));
+            }
+            queue.push(Reverse(ev.key));
             continue;
         }
-        let (lat, bw) = topo.link_params(link);
+        // An arrival that finds the link free goes ahead of any waiters:
+        // their grant entry is due at this same instant with a larger key,
+        // or it would have popped first.
+        let start = ev.time;
+        let (lat, bw) = topo.link_params(link as u32);
         let piece_bytes = flow.bytes / pieces as f64;
         // The link is occupied for the serialization time only; the hop
         // latency is propagation and delays arrival without blocking the
         // next piece from entering the wire.
         let end = start + lat + piece_bytes / bw;
-        link_free[link as usize] = start + piece_bytes / bw;
+        link_free[link] = start + piece_bytes / bw;
+        let moved = link_free[link] > start;
+        if moved {
+            // Under re-pushing, every other waiter would now pop at
+            // `start`, find the link busy and be re-pushed once more.
+            stats.requeues += queue.len() as u64;
+        }
+        // The link's grant entry is stale once its free time moved or its
+        // head was granted; otherwise the current entry still stands.
+        if moved || ev.grant {
+            if let Some(&Reverse(next)) = queue.peek() {
+                heap.push(Reverse(Event {
+                    time: link_free[link],
+                    key: next,
+                    grant: true,
+                }));
+            }
+        }
         stats.transfers += 1;
         finish = finish.max(end);
-        if (t.hop as usize) + 1 < flow.path.len() {
-            heap.push(Reverse(Transfer {
-                ready: end,
-                hop: t.hop + 1,
-                ..t
-            }));
+        if (hop as usize) + 1 < flow.path.len() {
+            heap.push(arrival(end, (fi, hop + 1, piece)));
         } else {
             // The piece left the flow's last link: release dependents.
-            for &g in &dependents[t.flow as usize] {
-                let (gi, pi) = (g as usize, t.piece as usize);
+            for &g in &dependents[fi as usize] {
+                let (gi, pi) = (g as usize, piece as usize);
                 gate[gi][pi] = gate[gi][pi].max(end);
                 pending[gi][pi] -= 1;
                 if pending[gi][pi] == 0 {
-                    heap.push(Reverse(Transfer {
-                        ready: gate[gi][pi],
-                        flow: g,
-                        hop: 0,
-                        piece: t.piece,
-                    }));
+                    heap.push(arrival(gate[gi][pi], (g, 0, piece)));
                 }
             }
         }

@@ -22,9 +22,11 @@
 //! * The engine (`simulate_flows` internally) executes *flows* — a
 //!   tensor pipelined in pieces along a path of links — with cross-flow
 //!   per-piece dependencies, which is enough to express ring pipelines,
-//!   reduce-tree joins and broadcast-tree chains in one event loop. Every
-//!   piece transfer on every link is a heap event; a piece is forwarded as
-//!   soon as it has been received and its link is free.
+//!   reduce-tree joins and broadcast-tree chains in one event loop. A
+//!   piece is forwarded as soon as it has been received and its link is
+//!   free; a piece that finds its link busy waits in that link's queue,
+//!   ordered by `(flow, hop, piece)`, and only the queue's head occupies
+//!   the global event heap.
 //! * [`RingTopology`] and [`TreeTopology`] know the *shape* of their
 //!   schedule (domain-major ring boundaries, domain-major binary tree
 //!   parents) and lower into the generic [`Topology`].

@@ -223,6 +223,39 @@ impl TrainingParams {
             sim: SimParams::ideal(),
         }
     }
+
+    /// Checks the replay's contract: a positive (or infinite) checkpoint
+    /// interval, finite non-negative checkpoint and restart times, and no
+    /// straggler stage (the fault plan drives stragglers). A NaN interval
+    /// or a negative pause would otherwise panic or move the replay's
+    /// clock backwards forever.
+    fn validate(&self) -> Result<(), UnsupportedConfig> {
+        let finite_non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        let message = if self.sim.straggler_stage.is_some() {
+            "straggler injection is driven by the fault plan; leave \
+             SimParams::straggler_stage unset"
+                .to_string()
+        } else if self.checkpoint_interval_s.is_nan() || self.checkpoint_interval_s <= 0.0 {
+            format!(
+                "checkpoint_interval_s must be positive (INFINITY disables \
+                 checkpointing), got {}",
+                self.checkpoint_interval_s
+            )
+        } else if !finite_non_negative(self.checkpoint_time_s) {
+            format!(
+                "checkpoint_time_s must be finite and non-negative, got {}",
+                self.checkpoint_time_s
+            )
+        } else if !finite_non_negative(self.restart_overhead_s) {
+            format!(
+                "restart_overhead_s must be finite and non-negative, got {}",
+                self.restart_overhead_s
+            )
+        } else {
+            return Ok(());
+        };
+        Err(UnsupportedConfig::Invalid { message })
+    }
 }
 
 /// Outcome of a fault-injected training replay.
@@ -270,7 +303,11 @@ pub struct TrainingReport {
 /// is priced). Deterministic given its arguments.
 ///
 /// Returns [`UnsupportedConfig`] for configurations outside the
-/// iteration simulator's envelope, exactly as [`simulate_iteration`].
+/// iteration simulator's envelope, exactly as [`simulate_iteration`], and
+/// [`UnsupportedConfig::Invalid`] for `params` that break the
+/// [`TrainingParams`] contract (a non-positive or NaN checkpoint
+/// interval, a negative or non-finite checkpoint or restart time, a
+/// preset straggler stage) or a non-finite `plan` horizon.
 pub fn simulate_training(
     model: &TransformerConfig,
     cfg: &ParallelConfig,
@@ -280,14 +317,12 @@ pub fn simulate_training(
     plan: &FaultPlan,
     params: &TrainingParams,
 ) -> Result<TrainingReport, UnsupportedConfig> {
-    assert!(
-        params.sim.straggler_stage.is_none(),
-        "straggler injection is driven by the fault plan; leave SimParams::straggler_stage unset"
-    );
-    assert!(
-        params.checkpoint_interval_s > 0.0,
-        "checkpoint interval must be positive (use INFINITY to disable)"
-    );
+    params.validate()?;
+    if !plan.horizon_s.is_finite() {
+        return Err(UnsupportedConfig::Invalid {
+            message: format!("fault plan horizon must be finite, got {}", plan.horizon_s),
+        });
+    }
     let spec = &sys.reliability;
 
     let base = simulate_iteration(model, cfg, placement, global_batch, sys, &params.sim)?;
@@ -548,6 +583,113 @@ mod tests {
             vd: 1,
         };
         (model, cfg, placement)
+    }
+
+    /// Runs a short failure-free replay of the 175B fixture under `params`.
+    fn replay_with(params: TrainingParams) -> Result<TrainingReport, UnsupportedConfig> {
+        let (model, cfg, pl) = cfg_175b();
+        let plan = FaultPlan::failure_free(1_000.0);
+        simulate_training(&model, &cfg, &pl, 1024, &sys(), &plan, &params)
+    }
+
+    /// Asserts `params` is rejected with a message naming `field`.
+    fn assert_rejected(params: TrainingParams, field: &str) {
+        match replay_with(params) {
+            Err(UnsupportedConfig::Invalid { message }) => {
+                assert!(message.contains(field), "{message}")
+            }
+            other => panic!("expected an Invalid error naming {field}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nan_checkpoint_interval_is_rejected() {
+        assert_rejected(
+            TrainingParams::new(f64::NAN, 0.0, 0.0),
+            "checkpoint_interval_s",
+        );
+    }
+
+    #[test]
+    fn non_positive_checkpoint_interval_is_rejected() {
+        for interval in [0.0, -1.0, f64::NEG_INFINITY] {
+            assert_rejected(
+                TrainingParams::new(interval, 0.0, 0.0),
+                "checkpoint_interval_s",
+            );
+        }
+    }
+
+    #[test]
+    fn negative_checkpoint_time_is_rejected() {
+        // Used to push the replay's clock backwards at every checkpoint,
+        // so the horizon was never reached.
+        assert_rejected(TrainingParams::new(100.0, -1e6, 0.0), "checkpoint_time_s");
+    }
+
+    #[test]
+    fn non_finite_checkpoint_time_is_rejected() {
+        for t in [f64::NAN, f64::INFINITY] {
+            assert_rejected(TrainingParams::new(100.0, t, 0.0), "checkpoint_time_s");
+        }
+    }
+
+    #[test]
+    fn negative_or_non_finite_restart_overhead_is_rejected() {
+        for t in [-1.0, f64::NAN, f64::INFINITY] {
+            assert_rejected(TrainingParams::new(100.0, 0.0, t), "restart_overhead_s");
+        }
+    }
+
+    #[test]
+    fn preset_straggler_stage_is_rejected() {
+        let mut params = TrainingParams::new(f64::INFINITY, 0.0, 0.0);
+        params.sim.straggler_stage = Some(0);
+        assert_rejected(params, "straggler_stage");
+    }
+
+    #[test]
+    fn infinite_horizon_is_rejected() {
+        let (model, cfg, pl) = cfg_175b();
+        let plan = FaultPlan::failure_free(f64::INFINITY);
+        let params = TrainingParams::new(f64::INFINITY, 0.0, 0.0);
+        assert!(matches!(
+            simulate_training(&model, &cfg, &pl, 1024, &sys(), &plan, &params),
+            Err(UnsupportedConfig::Invalid { .. })
+        ));
+    }
+
+    #[test]
+    fn valid_params_replay_exactly_as_before_validation() {
+        // A day of datacenter faults (kills, degraded and straggled
+        // windows, checkpoints): the report predates input validation.
+        let (model, cfg, pl) = cfg_175b();
+        let spec = ReliabilitySpec::datacenter().with_gpu_mtbf_hours(2_000.0);
+        let plan = FaultPlan::sample(&spec, 512, 128, 127, 86_400.0, 7);
+        let r = simulate_training(
+            &model,
+            &cfg,
+            &pl,
+            1024,
+            &sys(),
+            &plan,
+            &TrainingParams::new(1_800.0, 30.0, 600.0),
+        )
+        .unwrap();
+        assert_eq!(r.wall_clock_s.to_bits(), 0x40f5_198e_8769_f4de);
+        assert_eq!(r.goodput_fraction.to_bits(), 0x3fed_8778_6f6e_0e15);
+        assert_eq!(
+            (
+                r.useful_iterations,
+                r.lost_iterations,
+                r.checkpoints,
+                r.restarts
+            ),
+            (4309, 111, 44, 3)
+        );
+        assert_eq!((r.degraded_iterations, r.straggled_iterations), (169, 186));
+        // Zero pauses and disabled checkpointing stay valid.
+        assert!(replay_with(TrainingParams::new(f64::INFINITY, 0.0, 0.0)).is_ok());
     }
 
     #[test]
