@@ -5,7 +5,8 @@
 //! Groups map to DESIGN.md's experiment index:
 //! * `profile`        — S1 layer-profile construction (Tables I/II/A2 path)
 //! * `placement`      — best-placement evaluation (Figs. 1–3 path)
-//! * `search`         — full S3 optimization (Figs. 4, 5, A3–A6 path)
+//! * `search`         — full S3 optimization, `Planner::best_evaluation`
+//!   (Figs. 4, 5, A3–A6 path)
 //! * `moe-search`     — the joint `(tp, pp, dp, ep)` MoE search, tracked
 //!   alongside dense so expert parallelism's search-cost stays visible
 //! * `planner-topk`   — the `Planner` execution path (top-k ranking +
@@ -32,9 +33,7 @@
 
 use criterion::{criterion_group, Criterion};
 use perfmodel::partition::build_profile;
-use perfmodel::{
-    best_placement_eval, optimize, ParallelConfig, Placement, SearchOptions, TpStrategy,
-};
+use perfmodel::{ParallelConfig, Placement, Planner, TpStrategy};
 use std::time::Duration;
 use systems::{perlmutter, system, GpuGeneration, NvsSize};
 use txmodel::{gpt3_175b, gpt3_175b_moe, gpt3_1t, moe_1t, vit_64k};
@@ -56,14 +55,11 @@ fn bench_search_scaling(c: &mut Criterion) {
         g.bench_function(&format!("gpt_summa_n16384_t{threads}"), |b| {
             b.iter(|| {
                 pool.install(|| {
-                    optimize(
-                        &gpt,
-                        &sys,
-                        &SearchOptions::default()
-                            .gpus(16384)
-                            .global_batch(4096)
-                            .strategy(TpStrategy::Summa),
-                    )
+                    Planner::new(&gpt, &sys)
+                        .gpus(16384)
+                        .global_batch(4096)
+                        .strategy(TpStrategy::Summa)
+                        .best_evaluation()
                 })
             })
         });
@@ -124,9 +120,10 @@ fn bench_placement(c: &mut Criterion) {
     let gpt = gpt3_1t().config;
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     let cfg = ParallelConfig::new(TpStrategy::OneD, 8, 1, 64, 32, 1);
+    let planner = Planner::new(&gpt, &sys).global_batch(4096);
     let mut g = c.benchmark_group("placement");
     g.bench_function("fig1_config_d", |b| {
-        b.iter(|| best_placement_eval(&gpt, &cfg, 4096, &sys))
+        b.iter(|| planner.evaluate_config(&cfg))
     });
     g.finish();
 }
@@ -139,50 +136,38 @@ fn bench_search(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("gpt_1d_n1024", |b| {
         b.iter(|| {
-            optimize(
-                &gpt,
-                &sys,
-                &SearchOptions::default()
-                    .gpus(1024)
-                    .global_batch(4096)
-                    .strategy(TpStrategy::OneD),
-            )
+            Planner::new(&gpt, &sys)
+                .gpus(1024)
+                .global_batch(4096)
+                .strategy(TpStrategy::OneD)
+                .best_evaluation()
         })
     });
     g.bench_function("gpt_1d_n16384", |b| {
         b.iter(|| {
-            optimize(
-                &gpt,
-                &sys,
-                &SearchOptions::default()
-                    .gpus(16384)
-                    .global_batch(4096)
-                    .strategy(TpStrategy::OneD),
-            )
+            Planner::new(&gpt, &sys)
+                .gpus(16384)
+                .global_batch(4096)
+                .strategy(TpStrategy::OneD)
+                .best_evaluation()
         })
     });
     g.bench_function("gpt_summa_n16384", |b| {
         b.iter(|| {
-            optimize(
-                &gpt,
-                &sys,
-                &SearchOptions::default()
-                    .gpus(16384)
-                    .global_batch(4096)
-                    .strategy(TpStrategy::Summa),
-            )
+            Planner::new(&gpt, &sys)
+                .gpus(16384)
+                .global_batch(4096)
+                .strategy(TpStrategy::Summa)
+                .best_evaluation()
         })
     });
     g.bench_function("vit_2d_n16384", |b| {
         b.iter(|| {
-            optimize(
-                &vit,
-                &sys,
-                &SearchOptions::default()
-                    .gpus(16384)
-                    .global_batch(4096)
-                    .strategy(TpStrategy::TwoD),
-            )
+            Planner::new(&vit, &sys)
+                .gpus(16384)
+                .global_batch(4096)
+                .strategy(TpStrategy::TwoD)
+                .best_evaluation()
         })
     });
     g.finish();
@@ -200,38 +185,29 @@ fn bench_moe_search(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("moe1t_1d_n1024", |b| {
         b.iter(|| {
-            optimize(
-                &moe1t,
-                &sys,
-                &SearchOptions::default()
-                    .gpus(1024)
-                    .global_batch(4096)
-                    .strategy(TpStrategy::OneD),
-            )
+            Planner::new(&moe1t, &sys)
+                .gpus(1024)
+                .global_batch(4096)
+                .strategy(TpStrategy::OneD)
+                .best_evaluation()
         })
     });
     g.bench_function("moe1t_1d_n16384", |b| {
         b.iter(|| {
-            optimize(
-                &moe1t,
-                &sys,
-                &SearchOptions::default()
-                    .gpus(16384)
-                    .global_batch(4096)
-                    .strategy(TpStrategy::OneD),
-            )
+            Planner::new(&moe1t, &sys)
+                .gpus(16384)
+                .global_batch(4096)
+                .strategy(TpStrategy::OneD)
+                .best_evaluation()
         })
     });
     g.bench_function("gpt175b_moe8_n4096", |b| {
         b.iter(|| {
-            optimize(
-                &moe175b,
-                &sys,
-                &SearchOptions::default()
-                    .gpus(4096)
-                    .global_batch(1024)
-                    .strategy(TpStrategy::OneD),
-            )
+            Planner::new(&moe175b, &sys)
+                .gpus(4096)
+                .global_batch(1024)
+                .strategy(TpStrategy::OneD)
+                .best_evaluation()
         })
     });
     g.finish();
@@ -242,7 +218,7 @@ fn bench_moe_search(c: &mut Criterion) {
 /// and multi-scale spaces. Tracked against `search` so the planner's
 /// post-sweep overhead stays visible in the trajectory.
 fn bench_planner_topk(c: &mut Criterion) {
-    use perfmodel::{Objective, Planner};
+    use perfmodel::Objective;
     let gpt = gpt3_1t().config;
     let gpt175 = gpt3_175b().config;
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
@@ -279,7 +255,7 @@ fn bench_planner_topk(c: &mut Criterion) {
 /// k-th-incumbent and Pareto-bound prunes (and its exactness cost, were
 /// it to regress to a slowdown) stays visible in the trajectory.
 fn bench_planner_topk_pruned(c: &mut Criterion) {
-    use perfmodel::{Objective, Planner};
+    use perfmodel::Objective;
     let gpt = gpt3_1t().config;
     let moe = moe_1t().config;
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
@@ -389,7 +365,7 @@ fn bench_trainsim(c: &mut Criterion) {
 /// and one fault-injected training replay (trace sampling + three
 /// iteration-variant sims + the multi-day replay loop).
 fn bench_reliability(c: &mut Criterion) {
-    use perfmodel::{Objective, Planner};
+    use perfmodel::Objective;
     use systems::ReliabilitySpec;
     use trainsim::{simulate_training, FaultPlan, TrainingParams};
     let model = gpt3_175b().config;
@@ -430,7 +406,7 @@ fn bench_reliability(c: &mut Criterion) {
 /// (Poisson trace + admission + prefill pool + decode loop).
 fn bench_serving(c: &mut Criterion) {
     use perfmodel::serving::{assess_slo, SloSpec};
-    use perfmodel::{Objective, Planner};
+    use perfmodel::Objective;
     use servesim::{simulate_serving, SimParams, SimSpec};
     use txmodel::gpt3_175b_chat;
     let preset = gpt3_175b_chat();

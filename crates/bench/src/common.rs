@@ -6,11 +6,11 @@ use serde_json::{json, Value};
 use systems::SystemSpec;
 use txmodel::TransformerConfig;
 
-/// The figure pipeline's search entry point since the `Planner` redesign:
-/// best feasible evaluation of the standard single-scale space, or `None`
-/// if nothing fits HBM. Selection is pinned bit-identical to the legacy
-/// `optimize` free function (see `tests/wrapper_determinism.rs`), so the
-/// `out/` artifacts regenerate byte-identically.
+/// The figure pipeline's search entry point: best feasible evaluation of
+/// the standard single-scale space ([`Planner::best_evaluation`]), or
+/// `None` if nothing fits HBM. Selection is pinned bit for bit by
+/// `tests/wrapper_determinism.rs`, so the `out/` artifacts regenerate
+/// byte-identically.
 pub fn plan_best(
     model: &TransformerConfig,
     sys: &SystemSpec,
@@ -18,10 +18,7 @@ pub fn plan_best(
     global_batch: u64,
     strategy: TpStrategy,
 ) -> Option<Evaluation> {
-    planner(model, sys, gpus, global_batch, strategy)
-        .execute()
-        .best()
-        .map(|p| p.eval.clone())
+    planner(model, sys, gpus, global_batch, strategy).best_evaluation()
 }
 
 /// The standard single-scale, single-strategy planner the figures share;
@@ -41,15 +38,16 @@ pub fn planner<'a>(
 }
 
 /// Pinned-configuration evaluation under its best placement (the
-/// Figs. 1–3 "assignment is optimal" path) — delegates to the
-/// `best_placement_eval` wrapper, itself `Planner::evaluate_config`.
+/// Figs. 1–3 "assignment is optimal" path): [`Planner::evaluate_config`].
 pub fn pinned_eval(
     model: &TransformerConfig,
     sys: &SystemSpec,
     cfg: &ParallelConfig,
     global_batch: u64,
 ) -> Evaluation {
-    perfmodel::best_placement_eval(model, cfg, global_batch, sys)
+    Planner::new(model, sys)
+        .global_batch(global_batch)
+        .evaluate_config(cfg)
 }
 
 /// Column set for configuration-sweep artifacts (the paper's paired

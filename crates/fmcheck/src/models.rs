@@ -5,7 +5,7 @@
 //! | Model | Real code | Claim |
 //! |-------|-----------|-------|
 //! | [`ShardedMemo`] | `perfmodel::partition::cache::memo_f64` (L2 shard insert race) | racing first-computes of a *pure* function publish bit-identical values; no lost insert; every caller returns the same bits |
-//! | [`CasIncumbent`] | `perfmodel::planner` branch-and-bound incumbent (`AtomicU64` CAS loop) | incumbent is monotone non-increasing and ends at the sequential minimum on every schedule; admissible-bound pruning never loses the optimum |
+//! | [`CasIncumbent`] | `perfmodel::ord::publish_min` (the `AtomicU64` CAS loop lowering `TopkIncumbent`'s threshold and best-key cells) | incumbent is monotone non-increasing and ends at the sequential minimum on every schedule; admissible-bound pruning never loses the optimum |
 //! | [`TopkIncumbent`] | `perfmodel::ord::TopkIncumbent` (ranked-path k-th-best threshold: mutex k-set + CAS-published threshold, relaxed readers) | threshold is monotone non-increasing, never below the true k-th-best key, and ends at the k-th-best published key; k-th-incumbent pruning never drops a true top-k candidate |
 //! | [`ChunkClaim`] | `vendor/rayon` chunk claim/steal (`fetch_add` self-scheduling) | every chunk is claimed exactly once, all slots are filled, and the reassembled output is input-ordered regardless of interleaving |
 //! | [`BatchAdmit`] | `servesim` decode-batch admission (ceiling-gated slot claim) | the resident batch never exceeds the ceiling, free slots never go negative, and every request is admitted exactly once |
@@ -196,12 +196,14 @@ enum IncPc {
     Done,
 }
 
-/// Model of the planner's branch-and-bound incumbent
-/// (`crates/perfmodel/src/planner/mod.rs`): each thread holds one
-/// candidate with an admissible lower bound (`lb <= time`); it reads the
-/// shared incumbent, gives up if `lb` already exceeds it (the prune),
-/// otherwise evaluates and publishes its time through a
-/// load/compare-exchange loop that only ever *lowers* the incumbent.
+/// Model of the branch-and-bound incumbent cell behind
+/// `perfmodel::ord::publish_min` (`crates/perfmodel/src/ord.rs`), the CAS
+/// loop that lowers `TopkIncumbent`'s published threshold and best-key
+/// cells: each thread holds one candidate with an admissible lower bound
+/// (`lb <= time`); it reads the shared incumbent, gives up if `lb`
+/// already exceeds it (the prune), otherwise evaluates and publishes its
+/// time through a load/compare-exchange loop that only ever *lowers* the
+/// incumbent.
 ///
 /// Claims, on **every** schedule:
 /// * the incumbent is monotone non-increasing ([`Model::check_step`]);
@@ -370,8 +372,8 @@ enum TopkPc {
 /// published threshold, gives up if `lb` already exceeds it (the
 /// k-th-incumbent prune), otherwise evaluates and inserts its key into
 /// the mutex-guarded k-best set, publishing the set's maximum as the new
-/// threshold through the same monotone `publish_min` discipline as the
-/// single-optimum incumbent.
+/// threshold through the same monotone `publish_min` discipline
+/// [`CasIncumbent`] models.
 ///
 /// Claims, on **every** schedule:
 /// * the threshold is monotone non-increasing and never falls below the

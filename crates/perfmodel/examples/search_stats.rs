@@ -2,22 +2,20 @@
 //! SUMMA sweep of GPT3-1T on 16384 GPUs (`gpt_summa_n16384` in
 //! `out/bench.json`).
 //!
-//! Runs the pruned `optimize` path and the unpruned full sweep
-//! back-to-back and prints per-phase wall clock next to the
+//! Runs the pruned `Planner::best_evaluation` search and the unpruned
+//! full sweep back-to-back and prints per-phase wall clock next to the
 //! [`perfmodel::search_stats`] deltas: memo hits split by level
 //! (thread-local L1 vs the process-wide shared table), profile rebuild
-//! counts and time, and how many candidates the branch-and-bound /
-//! dominated-elimination prunes skipped. See `PERFORMANCE.md` for how
+//! counts and time, and how many candidates the ranked branch-and-bound
+//! skipped — by its seeded tail cut (`bound_pruned`) and by its
+//! per-candidate prune (`topk_pruned`). See `PERFORMANCE.md` for how
 //! these numbers feed the perf methodology.
 //!
 //! ```text
 //! cargo run --release -p perfmodel --example search_stats
 //! ```
 
-use perfmodel::{
-    enumerate_partitions, optimize, reset_search_stats, search_stats, Planner, SearchOptions,
-    SearchSpace, TpStrategy,
-};
+use perfmodel::{reset_search_stats, search_stats, Planner, TpStrategy};
 use std::time::Instant;
 use systems::{system, GpuGeneration, NvsSize};
 use txmodel::gpt3_1t;
@@ -25,27 +23,29 @@ use txmodel::gpt3_1t;
 fn main() {
     let model = gpt3_1t().config;
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
-    let opts = SearchOptions::default()
+    let planner = Planner::new(&model, &sys)
         .gpus(16384)
         .global_batch(4096)
         .strategy(TpStrategy::Summa);
 
     let t0 = Instant::now();
-    let parts = enumerate_partitions(&model, &opts);
+    let parts = planner.candidates();
     println!(
         "enumerate:      {:>7} candidates in {:.2?}",
         parts.len(),
         t0.elapsed()
     );
 
-    // Pruned single-optimum path (the optimize default).
+    // Pruned single-optimum search (the ranked engine at top-1).
     reset_search_stats();
     let t0 = Instant::now();
-    let best = optimize(&model, &sys, &opts).expect("a feasible SUMMA config exists");
+    let best = planner
+        .best_evaluation()
+        .expect("a feasible SUMMA config exists");
     let dt = t0.elapsed();
     let s = search_stats();
     println!(
-        "optimize:       {dt:.2?} (best iteration {:.4} s)",
+        "best_evaluation: {dt:.2?} (best iteration {:.4} s)",
         best.iteration_time
     );
     println!(
@@ -58,16 +58,14 @@ fn main() {
         s.memo_local_hits, s.memo_shared_hits, s.memo_misses
     );
     println!(
-        "  pruned:       {} by bound, {} dominated",
-        s.bound_pruned, s.dominated_pruned
+        "  pruned:       {} by the tail cut, {} per candidate",
+        s.bound_pruned, s.topk_pruned
     );
 
     // Unpruned full sweep (what every candidate costs).
     reset_search_stats();
     let t0 = Instant::now();
-    let evals = Planner::new(&model, &sys)
-        .space(SearchSpace::from(&opts))
-        .evaluations();
+    let evals = planner.evaluations();
     let dt = t0.elapsed();
     let s = search_stats();
     println!("full sweep:     {dt:.2?} ({} feasible evaluations)", {

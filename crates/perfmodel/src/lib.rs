@@ -33,9 +33,11 @@
 //!    fanned out over the rayon pool against a build-once
 //!    [`ProfileCache`] — returning a [`PlanSet`]: the top-k ranked
 //!    [`Plan`]s and the exact Pareto frontier across the selected
-//!    objectives, fully serializable. The original free functions
-//!    ([`optimize`], [`sweep_partitions`], [`best_placement_eval`])
-//!    remain as thin, bit-identical wrappers.
+//!    objectives, fully serializable. One ranked branch-and-bound engine
+//!    serves [`Planner::execute`] and the single-optimum
+//!    [`Planner::best_evaluation`]; [`Planner::evaluations`] is the full
+//!    sweep and [`Planner::evaluate_config`] prices one pinned
+//!    configuration.
 //!
 //! ```
 //! use perfmodel::{Objective, Planner, TpStrategy};
@@ -68,7 +70,7 @@ pub mod placement;
 pub mod plan;
 pub mod planner;
 pub mod reliability;
-pub mod search;
+mod search;
 pub mod sensitivity;
 pub mod serving;
 pub mod timing;
@@ -89,10 +91,6 @@ pub use planner::{
     SearchSpace, WeightedTerm,
 };
 pub use reliability::GoodputReport;
-pub use search::{
-    best_placement_eval, best_placement_eval_with_profile, enumerate_partitions, optimize,
-    sweep_partitions, SearchOptions,
-};
 pub use sensitivity::{elasticities, Elasticity, HardwareAxis};
 pub use serving::{PdPlacement, ServingCtx, ServingReport, SloSpec};
 pub use training::training_days;
@@ -108,7 +106,9 @@ mod serde_roundtrip {
         let model = gpt3_1t().config;
         let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
         let cfg = ParallelConfig::new(TpStrategy::OneD, 8, 1, 16, 8, 1);
-        let e = search::best_placement_eval(&model, &cfg, 4096, &sys);
+        let e = Planner::new(&model, &sys)
+            .global_batch(4096)
+            .evaluate_config(&cfg);
         let back: Evaluation = serde_json::from_str(&serde_json::to_string(&e).unwrap()).unwrap();
         assert_eq!(back, e);
     }

@@ -58,9 +58,9 @@ pub fn exceeds_bound(lb: f64, bound: f64) -> bool {
 ///
 /// "Improves" is exactly [`is_improvement`] — the loop *decodes* the
 /// cell and compares under the total order, so the discipline is sound
-/// for any float, negative ranking keys included. (For the non-negative
-/// iteration times the single-optimum path stores, bit patterns happen
-/// to order identically to `total_cmp` too, NaN above +inf included.)
+/// for any float, negative ranking keys included. (For non-negative
+/// iteration times, bit patterns happen to order identically to
+/// `total_cmp` too, NaN above +inf included.)
 /// The loop terminates because the cell's value strictly decreases
 /// between a load and a failed exchange. This is the protocol
 /// model-checked as `fmcheck::models::CasIncumbent`.
@@ -76,8 +76,8 @@ pub fn publish_min(cell: &AtomicU64, time: f64) -> bool {
     false
 }
 
-/// Shared concurrent k-th-best threshold for the *ranked* branch-and-
-/// bound (the top-k analogue of the single-optimum atomic incumbent):
+/// Shared concurrent k-th-best threshold for the ranked branch-and-bound
+/// (at `k = 1`, the single-optimum incumbent):
 /// workers [`TopkIncumbent::publish`] every evaluated ranking key, and
 /// readers prune a candidate when its admissible key lower bound exceeds
 /// [`TopkIncumbent::threshold`] — the current k-th best key.

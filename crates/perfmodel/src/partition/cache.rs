@@ -218,12 +218,18 @@ pub struct SearchStats {
     pub profile_builds: u64,
     /// Wall-clock nanoseconds spent inside [`ProfileCache::build`].
     pub profile_build_nanos: u64,
-    /// Candidates skipped by the branch-and-bound incumbent test.
+    /// Candidates skipped by the incumbent test: the ranked search's
+    /// single-axis tail cut, which drops every candidate whose bound
+    /// exceeds the seeded k-th-best threshold before the parallel pass.
     pub bound_pruned: u64,
-    /// Candidates eliminated as dominated before placement enumeration.
+    /// Always 0: nothing eliminates candidates as dominated before the
+    /// ranked search any more. The field is kept so the struct keeps its
+    /// shape for code that builds it by literal and for the
+    /// `search.dominated_pruned_per_job` benchmark metric.
     pub dominated_pruned: u64,
-    /// Candidates skipped by the ranked-path prune (k-th-incumbent test
-    /// *and* Pareto lower-bound domination both fired).
+    /// Candidates skipped by the ranked search's per-candidate prune
+    /// (k-th-incumbent test *and* Pareto lower-bound domination both
+    /// fired).
     pub topk_pruned: u64,
 }
 
@@ -233,7 +239,6 @@ static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
 static PROFILE_BUILDS: AtomicU64 = AtomicU64::new(0);
 static PROFILE_BUILD_NANOS: AtomicU64 = AtomicU64::new(0);
 static BOUND_PRUNED: AtomicU64 = AtomicU64::new(0);
-static DOMINATED_PRUNED: AtomicU64 = AtomicU64::new(0);
 static TOPK_PRUNED: AtomicU64 = AtomicU64::new(0);
 
 /// Thread-local probe tallies: plain `Cell` bumps on the all-hit hot path
@@ -295,7 +300,7 @@ pub fn search_stats() -> SearchStats {
         profile_builds: PROFILE_BUILDS.load(Ordering::Relaxed),
         profile_build_nanos: PROFILE_BUILD_NANOS.load(Ordering::Relaxed),
         bound_pruned: BOUND_PRUNED.load(Ordering::Relaxed),
-        dominated_pruned: DOMINATED_PRUNED.load(Ordering::Relaxed),
+        dominated_pruned: 0,
         topk_pruned: TOPK_PRUNED.load(Ordering::Relaxed),
     }
 }
@@ -311,29 +316,21 @@ pub fn reset_search_stats() {
         &PROFILE_BUILDS,
         &PROFILE_BUILD_NANOS,
         &BOUND_PRUNED,
-        &DOMINATED_PRUNED,
         &TOPK_PRUNED,
     ] {
         g.store(0, Ordering::Relaxed);
     }
 }
 
-/// Credits `n` branch-and-bound prunes to the profiling counters.
+/// Credits `n` incumbent-test (tail-cut) prunes to the profiling counters.
 pub(crate) fn note_bound_pruned(n: u64) {
     if n > 0 {
         BOUND_PRUNED.fetch_add(n, Ordering::Relaxed);
     }
 }
 
-/// Credits `n` dominated-candidate eliminations to the profiling counters.
-pub(crate) fn note_dominated_pruned(n: u64) {
-    if n > 0 {
-        DOMINATED_PRUNED.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Credits `n` ranked-path (top-k + Pareto) prunes to the profiling
-/// counters.
+/// Credits `n` per-candidate ranked prunes (top-k + Pareto) to the
+/// profiling counters.
 pub(crate) fn note_topk_pruned(n: u64) {
     if n > 0 {
         TOPK_PRUNED.fetch_add(n, Ordering::Relaxed);

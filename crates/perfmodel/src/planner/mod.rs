@@ -1,50 +1,43 @@
 //! The composable planning surface over the S3 design-space search.
 //!
-//! [`Planner`] replaces the free-function entry points (`optimize`,
-//! `sweep_partitions`, `best_placement_eval` — still available as thin,
-//! bit-identical wrappers) with one builder that composes:
+//! [`Planner`] is the one entry point of the search. It composes:
 //!
 //! * a typed [`SearchSpace`] — GPU counts, batch, TP strategies,
 //!   microbatch/interleave/ZeRO/expert knobs, pp/dp/tp degree bounds —
 //!   plus arbitrary user [`Planner::constrain`] predicates;
 //! * an [`Objective`] — iteration time, training days, tokens/s/GPU, HBM
 //!   headroom, GPU-seconds cost, or weighted/lexicographic combinations;
-//! * execution over the rayon pool (the same [`ProfileCache`]-backed
-//!   evaluated sweep the wrappers use, so results stay bit-identical
-//!   across thread counts), streaming each candidate through an optional
+//! * execution over the rayon pool against a build-once
+//!   [`ProfileCache`] (results stay bit-identical across thread counts),
+//!   streaming each candidate through an optional
 //!   [`Planner::on_candidate`] progress hook;
 //!
 //! into a [`PlanSet`]: the top-k ranked [`Plan`]s **and** the exact
 //! Pareto frontier across the selected objectives, fully serializable.
 //!
-//! Three execution paths share the candidate machinery:
+//! One search engine serves every entry point, in two shapes:
 //!
-//! * [`Planner::evaluations`] — the **full sweep**: every candidate
+//! * the **full sweep** ([`Planner::evaluations`]) — every candidate
 //!   evaluated, needed whenever the caller consumes the raw evaluation
-//!   list (figures, `include_infeasible`, streaming hooks).
-//! * [`Planner::execute`] — the **pruned ranked** path (top-k + Pareto):
-//!   a k-th-incumbent branch-and-bound ([`crate::ord::TopkIncumbent`])
-//!   prunes candidates whose admissible per-objective key lower bound
-//!   (`Objective::key_lower_bound`) provably lands outside the top-k,
+//!   list (figures, `include_infeasible`, streaming hooks);
+//! * the **ranked branch-and-bound** behind [`Planner::execute`] — a
+//!   k-th-incumbent prune ([`crate::ord::TopkIncumbent`]) skips
+//!   candidates whose admissible per-objective key lower bound
+//!   (`Objective::key_lower_bound`) provably lands outside the top-k
 //!   *and* whose bound vector is strictly dominated by an
-//!   already-evaluated point — only candidates failing both tests are
-//!   skipped, so the ranked list and the Pareto frontier stay
-//!   bit-identical to the full sweep's. Falls back to the full sweep
-//!   whenever a hook is installed, infeasible candidates are kept, the
-//!   pruning flags are off, or the objective admits no admissible bound.
-//! * [`Planner::best_evaluation`] — the **pruned single-optimum** path
-//!   (`optimize` delegates here): memory-infeasible candidates, provably
-//!   dominated candidates, and candidates whose admissible lower bound
-//!   cannot beat the running incumbent are skipped before their placement
-//!   loops run. Both prunes are exact (see
-//!   `evaluate::iteration_time_lower_bound`), so the result is
-//!   bit-identical to the full sweep's first feasible minimum — just much
-//!   cheaper.
+//!   already-evaluated point, so the ranked list and the Pareto frontier
+//!   stay bit-identical to the full sweep's. It falls back to the full
+//!   sweep whenever a hook is installed, infeasible candidates are kept,
+//!   a pruning flag is off, or the objective admits no admissible bound.
 //!
-//! Both paths switch to placement-level parallelism (one work item per
+//! [`Planner::best_evaluation`] — the single fastest feasible candidate —
+//! is the ranked engine at `top_k = 1` under [`Objective::IterationTime`].
+//! [`Planner::evaluate_config`] prices one pinned configuration.
+//!
+//! Both shapes switch to placement-level parallelism (one work item per
 //! `(candidate, placement)` pair) when there are too few candidates to
 //! occupy the pool — the "few fat candidates" shape of pinned-config
-//! comparisons — and both report what they skipped through
+//! comparisons — and the ranked engine reports what it skipped through
 //! [`crate::search_stats`].
 //!
 //! ```
@@ -73,6 +66,7 @@ mod validate;
 
 pub use objective::{LexStage, Objective, ObjectiveCtx, Score, WeightedTerm};
 pub use plan::{Plan, PlanSet};
+use space::dedup_ordered;
 pub use space::SearchSpace;
 pub use validate::{validate_system, ConfigError, MAX_GPU_COUNTS, MAX_SCALE};
 
@@ -83,21 +77,19 @@ use crate::evaluate::{
 };
 use crate::memory::{inference_memory_usage, memory_usage, MemoryUsage};
 use crate::ord;
-use crate::partition::cache::{
-    note_bound_pruned, note_dominated_pruned, note_topk_pruned, system_fingerprint,
-};
+use crate::partition::cache::{note_bound_pruned, note_topk_pruned, system_fingerprint};
 use crate::partition::{build_profile, ProfileCache};
 use crate::placement::enumerate_placements;
 use crate::search::{best_placement_with_memory, enumerate_partitions};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use systems::SystemSpec;
 use txmodel::{InferenceConfig, TransformerConfig};
 
-/// Relative slack on every lower-bound-vs-incumbent comparison: a
-/// candidate is pruned only when `lb > incumbent · (1 + PRUNE_EPS)`. The
+/// Relative slack on every lower-bound-vs-threshold comparison: a
+/// candidate is pruned only when its bound clears the threshold by more
+/// than `PRUNE_EPS · |threshold|` ([`relax_up`], [`relax_down`]). The
 /// bound and the evaluation assemble the same terms in different
 /// floating-point orders (bucketed sum vs `m·(tf+tb)`), so a mathematical
 /// tie can differ by a few ulps; the slack turns those ties into
@@ -111,11 +103,10 @@ const PRUNE_EPS: f64 = 1e-9;
 const FANOUT_FACTOR: usize = 4;
 
 /// Widens `bound` upward by the relative [`PRUNE_EPS`] slack (identity on
-/// non-finite bounds). The signed-key analogue of the single-optimum
-/// path's `incumbent · (1 + PRUNE_EPS)`, which would *tighten* a negative
-/// bound: ranking keys may be negative (maximizing objectives negate, a
-/// weighted sum can land anywhere), so the slack must be applied through
-/// `|bound|`.
+/// non-finite bounds). Ranking keys may be negative (maximizing
+/// objectives negate, a weighted sum can land anywhere), so the slack is
+/// applied through `|bound|`: `bound · (1 + PRUNE_EPS)` would *tighten* a
+/// negative bound.
 fn relax_up(bound: f64) -> f64 {
     if bound.is_finite() {
         bound + PRUNE_EPS * bound.abs()
@@ -194,7 +185,7 @@ pub struct PlannerConfig {
     pub top_k: usize,
     /// Keep memory-infeasible candidates in the sweep (flagged, never
     /// ranked). `false` — the default — prunes them before placement
-    /// enumeration, exactly like `optimize` always has.
+    /// enumeration.
     pub include_infeasible: bool,
     /// Serving traffic for the inference objectives. When set, the
     /// memory gate switches from the training ledger to the inference
@@ -340,15 +331,15 @@ impl<'a> Planner<'a> {
     }
 
     /// Shorthand for [`SearchSpace::branch_and_bound`] on the current
-    /// space (gates the pruned paths of [`Planner::best_evaluation`] and
-    /// [`Planner::execute`]; both exact).
+    /// space (gates, with [`Planner::prune_dominated`], the ranked search
+    /// of [`Planner::execute`] and [`Planner::best_evaluation`]; exact).
     pub fn branch_and_bound(self, yes: bool) -> Self {
         self.with_space(|s| s.branch_and_bound(yes))
     }
 
     /// Shorthand for [`SearchSpace::prune_dominated`] on the current
-    /// space (gates the pruned paths of [`Planner::best_evaluation`] and
-    /// [`Planner::execute`]; both exact).
+    /// space (gates, with [`Planner::branch_and_bound`], the ranked search
+    /// of [`Planner::execute`] and [`Planner::best_evaluation`]; exact).
     pub fn prune_dominated(self, yes: bool) -> Self {
         self.with_space(|s| s.prune_dominated(yes))
     }
@@ -428,25 +419,12 @@ impl<'a> Planner<'a> {
         // PlannerConfig replayed from JSON ([`Planner::from_config`]) can
         // carry duplicates, which would double-evaluate sub-spaces and
         // fill top-k slots with identical plans.
-        let mut strategies = Vec::new();
-        for &s in &space.strategies {
-            if !strategies.contains(&s) {
-                strategies.push(s);
-            }
-        }
-        let mut gpu_counts = Vec::new();
-        for &n in &space.gpu_counts {
-            if !gpu_counts.contains(&n) {
-                gpu_counts.push(n);
-            }
-        }
+        let strategies = dedup_ordered(space.strategies.iter().copied());
+        let gpu_counts = dedup_ordered(space.gpu_counts.iter().copied());
         let mut out = Vec::new();
         for &strategy in &strategies {
             for &gpus in &gpu_counts {
-                out.extend(enumerate_partitions(
-                    self.model,
-                    &space.options_for(gpus, strategy),
-                ));
+                out.extend(enumerate_partitions(self.model, space, gpus, strategy));
             }
         }
         if !space.unbounded_degrees() {
@@ -462,12 +440,12 @@ impl<'a> Planner<'a> {
         out
     }
 
-    /// The evaluated sweep: every candidate under its best placement, in
-    /// enumeration order, bit-identical across thread counts. This is the
-    /// engine the legacy wrappers (`optimize`, `sweep_partitions`)
-    /// delegate to. Memory-infeasible candidates are pruned before
-    /// placement enumeration unless [`Planner::include_infeasible`] is
-    /// set.
+    /// The full sweep: every candidate under its best placement, in
+    /// enumeration order, bit-identical across thread counts.
+    /// Memory-infeasible candidates are pruned before placement
+    /// enumeration unless [`Planner::include_infeasible`] is set. Sort it
+    /// stably with [`crate::ord::time_cmp`] on `iteration_time` for a
+    /// fastest-first listing.
     pub fn evaluations(&self) -> Vec<Evaluation> {
         let partitions = self.candidates();
         let cache = ProfileCache::build(self.model, &self.system.gpu, &partitions);
@@ -517,182 +495,34 @@ impl<'a> Planner<'a> {
             .collect()
     }
 
-    /// The single fastest feasible candidate — `optimize`'s engine — or
-    /// `None` when nothing fits in HBM. Bit-identical to
-    /// `evaluations().into_iter().filter(|e| e.feasible).min_by(time)`
-    /// for any thread count and any prune-flag setting, but avoids
-    /// evaluating most of the space:
+    /// The single fastest feasible candidate, or `None` when nothing fits
+    /// in HBM. Bit-identical to the first minimum, in enumeration order,
+    /// of `evaluations()` filtered to feasible candidates — for any
+    /// thread count and any prune-flag setting.
     ///
-    /// 1. **Assess** (parallel): per-candidate memory accounting (prunes
-    ///    HBM-infeasible candidates, as `optimize` always has) and the
-    ///    admissible `iteration_time_lower_bound`.
-    /// 2. **Dominated elimination** (`prune_dominated`): candidates whose
-    ///    timing is provably matched by an earlier-enumerated twin are
-    ///    dropped — at `np = 1` the pipeline terms vanish, so an
-    ///    `interleave > 1` candidate is bit-identical in time and no
-    ///    better in memory than its `interleave = 1` twin. Then the
-    ///    smallest-lower-bound survivor is evaluated as a *seed*
-    ///    incumbent and every candidate whose bound exceeds it is
-    ///    dropped. A dropped candidate can never be the sweep's *first*
-    ///    minimum, so the selection is unchanged.
-    /// 3. **Branch-and-bound sweep** (`branch_and_bound`, parallel): the
-    ///    survivors are evaluated with a shared atomic incumbent;
-    ///    a candidate whose lower bound exceeds the incumbent skips its
-    ///    placement loop entirely. Pruning is monotone-safe: bounds never
-    ///    exceed true times, so every minimum-achiever is evaluated, and
-    ///    the final reduction takes the first minimum in enumeration
-    ///    order — the incumbent race can only change *which redundant
-    ///    work is skipped*, never the result.
-    ///
-    /// Skip counts are reported through [`crate::search_stats`]
-    /// (`bound_pruned`, `dominated_pruned`). The
-    /// [`Planner::on_candidate`] hook fires only for candidates actually
-    /// evaluated.
+    /// Runs the ranked engine of [`Planner::execute`] with
+    /// [`Objective::IterationTime`], no extra Pareto axes and
+    /// `top_k = 1`, whatever the planner's own objective, Pareto axes,
+    /// `top_k` and `include_infeasible` say; the space, the serving
+    /// traffic and the user constraints apply as configured. It falls
+    /// back to the full sweep in the same cases `execute` does — in
+    /// particular, with a [`Planner::on_candidate`] hook installed the
+    /// hook sees every memory-fitting candidate.
     pub fn best_evaluation(&self) -> Option<Evaluation> {
-        let partitions = self.candidates();
-        let cache = ProfileCache::build(self.model, &self.system.gpu, &partitions);
-        let global_batch = self.config.space.global_batch;
-        let use_bb = self.config.space.branch_and_bound;
-        let use_dom = self.config.space.prune_dominated;
-        let sys_fp = system_fingerprint(self.system);
-
-        // Pass 1: memory + lower bound, in enumeration order.
-        let assessed: Vec<Option<(MemoryUsage, f64)>> = partitions
-            .par_iter()
-            .map(|cfg| {
-                let (profile, fps) = cache.get_with_fps(cfg);
-                let memory = self.candidate_memory(profile, cfg, global_batch);
-                if !memory.fits(self.system.gpu.hbm_capacity) {
-                    return None;
-                }
-                let lb = if use_bb || use_dom {
-                    iteration_time_lower_bound(
-                        profile,
-                        self.model,
-                        cfg,
-                        global_batch,
-                        self.system,
-                        sys_fp,
-                        *fps,
-                    )
-                } else {
-                    f64::NEG_INFINITY
-                };
-                Some((memory, lb))
-            })
-            .collect();
-
-        // Structural dominance: at np = 1 every pipeline term is zero, so
-        // interleave does not enter the timing at all and only inflates
-        // activation memory — the interleave = 1 twin (always enumerated
-        // earlier, always valid, always no worse in memory) ties it bit
-        // for bit, and a later-enumerated tie can never be the first
-        // minimum. The twin must still pass the user predicates, or it
-        // was never a candidate.
-        let mut survivors: Vec<(usize, MemoryUsage, f64)> = Vec::new();
-        let mut dominated = 0u64;
-        for (i, a) in assessed.iter().enumerate() {
-            let Some((memory, lb)) = a else { continue };
-            let cfg = &partitions[i];
-            if use_dom && cfg.np == 1 && cfg.interleave > 1 {
-                let twin = ParallelConfig {
-                    interleave: 1,
-                    ..*cfg
-                };
-                if self.constraints.iter().all(|p| p(&twin)) {
-                    dominated += 1;
-                    continue;
-                }
-            }
-            survivors.push((i, *memory, *lb));
-        }
-
-        // Seed-based elimination: fully evaluate the most promising
-        // survivor; anything whose admissible bound exceeds its time
-        // cannot beat it (nor, a fortiori, the true minimum).
-        let mut seed: Option<(usize, Evaluation)> = None;
-        let mut incumbent0 = f64::INFINITY;
-        if use_dom {
-            if let Some(&(si, memory, _)) = survivors.iter().min_by(|a, b| ord::time_cmp(a.2, b.2))
-            {
-                let cfg = &partitions[si];
-                let (profile, _) = cache.get_with_fps(cfg);
-                let e = best_placement_with_memory(
-                    profile,
-                    self.model,
-                    cfg,
-                    global_batch,
-                    self.system,
-                    memory,
-                );
-                incumbent0 = e.iteration_time;
-                seed = Some((si, e));
-                let before = survivors.len();
-                survivors.retain(|&(i, _, lb)| i == si || lb <= incumbent0 * (1.0 + PRUNE_EPS));
-                dominated += (before - survivors.len()) as u64;
-            }
-        }
-        note_dominated_pruned(dominated);
-
-        let threads = rayon::current_num_threads();
-        if threads > 1 && !survivors.is_empty() && survivors.len() < threads * FANOUT_FACTOR {
-            // Too few survivors for candidate-level parallelism: fan out
-            // over their placements (no per-candidate bound checks — each
-            // survivor is evaluated exactly once).
-            let work: Vec<(usize, MemoryUsage)> =
-                survivors.iter().map(|&(i, m, _)| (i, m)).collect();
-            let evals = self.placement_fanout(&work, &partitions, &cache, global_batch);
-            if let Some(hook) = &self.on_candidate {
-                for e in &evals {
-                    hook(e);
-                }
-            }
-            return evals
-                .into_iter()
-                .min_by(|a, b| ord::time_cmp(a.iteration_time, b.iteration_time));
-        }
-
-        // Pass 2: branch-and-bound sweep. The incumbent is the running
-        // minimum evaluated time, shared across workers as raw f64 bits
-        // (non-negative floats order identically to their bit patterns).
-        let incumbent = AtomicU64::new(incumbent0.to_bits());
-        let results: Vec<Option<Evaluation>> = survivors
-            .par_iter()
-            .map(|&(i, memory, lb)| {
-                if use_bb {
-                    let inc = f64::from_bits(incumbent.load(Ordering::Relaxed));
-                    // IEEE `>` (not total_cmp): a NaN bound must never
-                    // prune — see `crate::ord::exceeds_bound`.
-                    if ord::exceeds_bound(lb, inc * (1.0 + PRUNE_EPS)) {
-                        return None;
-                    }
-                }
-                let cfg = &partitions[i];
-                let e = match &seed {
-                    Some((si, se)) if *si == i => se.clone(),
-                    _ => {
-                        let (profile, _) = cache.get_with_fps(cfg);
-                        best_placement_with_memory(
-                            profile,
-                            self.model,
-                            cfg,
-                            global_batch,
-                            self.system,
-                            memory,
-                        )
-                    }
-                };
-                ord::publish_min(&incumbent, e.iteration_time);
-                if let Some(hook) = &self.on_candidate {
-                    hook(&e);
-                }
-                Some(e)
-            })
-            .collect();
-        note_bound_pruned(results.iter().filter(|r| r.is_none()).count() as u64);
-        results
+        let single = Planner {
+            config: PlannerConfig {
+                objective: Objective::IterationTime,
+                pareto: Vec::new(),
+                top_k: 1,
+                include_infeasible: false,
+                ..self.config.clone()
+            },
+            ..self.clone()
+        };
+        let (evals, _) = single.search(&single.objective_ctx(), &[Objective::IterationTime]);
+        evals
             .into_iter()
-            .flatten()
+            .filter(|e| e.feasible)
             .min_by(|a, b| ord::time_cmp(a.iteration_time, b.iteration_time))
     }
 
@@ -763,8 +593,8 @@ impl<'a> Planner<'a> {
     }
 
     /// Evaluates one pinned configuration under its best placement using
-    /// this planner's batch size (the Fig. 1–3 "assignment is optimal"
-    /// path; the legacy `best_placement_eval` wraps this).
+    /// this planner's batch size and memory ledger (the Fig. 1–3
+    /// "assignment is optimal" path, paper Q1).
     pub fn evaluate_config(&self, cfg: &ParallelConfig) -> Evaluation {
         let profile = build_profile(
             self.model,
@@ -824,11 +654,7 @@ impl<'a> Planner<'a> {
         } else {
             self.config.pareto.clone()
         };
-        let (evals, pruned_counts) = match self.ranked_pruned_evaluations(&ctx, &pareto_objectives)
-        {
-            Some((evals, fitting)) => (evals, Some(fitting)),
-            None => (self.evaluations(), None),
-        };
+        let (evals, pruned_counts) = self.search(&ctx, &pareto_objectives);
         let feasible_idx: Vec<usize> = evals
             .iter()
             .enumerate()
@@ -862,17 +688,31 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// The ranked branch-and-bound sweep behind [`Planner::execute`]:
-    /// returns the evaluated (feasible) candidates in enumeration order
-    /// plus the exact count of memory-feasible candidates, or `None` when
-    /// the configuration requires the full sweep.
+    /// The evaluated candidates of the search engine: the ranked
+    /// branch-and-bound's (with the exact count of memory-fitting
+    /// candidates) when it applies, else the full sweep's (with `None`).
+    fn search(
+        &self,
+        ctx: &ObjectiveCtx,
+        pareto_objectives: &[Objective],
+    ) -> (Vec<Evaluation>, Option<u64>) {
+        match self.ranked_pruned_evaluations(ctx, pareto_objectives) {
+            Some((evals, fitting)) => (evals, Some(fitting)),
+            None => (self.evaluations(), None),
+        }
+    }
+
+    /// The ranked branch-and-bound sweep behind [`Planner::execute`] and
+    /// [`Planner::best_evaluation`]: returns the evaluated (feasible)
+    /// candidates in enumeration order plus the exact count of
+    /// memory-feasible candidates, or `None` when the configuration
+    /// requires the full sweep.
     ///
     /// A candidate is skipped only when **both** exact prunes fire:
     ///
     /// * **k-th-incumbent prune** — its admissible ranking-key lower
     ///   bound ([`Objective::key_lower_bound`]) exceeds the shared
-    ///   concurrent k-th-best key ([`ord::TopkIncumbent`], the top-k
-    ///   analogue of the single-optimum atomic incumbent), so at least k
+    ///   concurrent k-th-best key ([`ord::TopkIncumbent`]), so at least k
     ///   already-evaluated candidates outrank it and it can never enter
     ///   [`PlanSet::top`]. For a multi-stage lexicographic objective the
     ///   bound must *additionally* clear the primary stage's tolerance
@@ -892,6 +732,16 @@ impl<'a> Planner<'a> {
     /// threshold/archive only changes *which redundant work is skipped*,
     /// never a result bit (stale reads are conservative). Skip counts are
     /// reported as `topk_pruned` in [`crate::search_stats`].
+    ///
+    /// **Single axis.** When the frontier spans the ranking objective
+    /// alone, `top_k ≥ 1` and the objective is not a multi-stage
+    /// lexicographic one, the k-th-incumbent prune implies the
+    /// Pareto-safe one: a bound above the k-th-best (real) key puts the
+    /// candidate strictly behind an evaluated point, off the
+    /// single-objective frontier. The archive is then skipped, and once
+    /// the seeds are in, every candidate whose bound exceeds the seeded
+    /// threshold is dropped before the parallel pass (the *tail cut*,
+    /// credited to `bound_pruned`).
     ///
     /// Falls back (`None`) when: a [`Planner::on_candidate`] hook is
     /// installed (its contract is one call per candidate of the full
@@ -925,6 +775,7 @@ impl<'a> Planner<'a> {
         let cache = ProfileCache::build(self.model, &self.system.gpu, &partitions);
         let global_batch = space.global_batch;
         let sys_fp = system_fingerprint(self.system);
+        let top_k = self.config.top_k;
         // Primary-stage tolerance of a multi-stage lexicographic
         // objective (see the method docs); `None` means the k-th
         // incumbent alone decides.
@@ -934,10 +785,15 @@ impl<'a> Planner<'a> {
             }
             _ => None,
         };
+        let single_axis = lex_cut_tol.is_none()
+            && top_k > 0
+            && pareto_objectives == std::slice::from_ref(objective);
 
         // Pass 1 (assess, parallel): placement-independent memory
         // accounting plus the admissible key bounds for the ranking
-        // objective and every Pareto axis.
+        // objective and every Pareto axis (a single axis keeps no Pareto
+        // bounds: the ranking bound decides alone).
+        type Work = (f64, usize, MemoryUsage, Vec<f64>);
         let assessed: Vec<Option<(MemoryUsage, f64, Vec<f64>)>> = partitions
             .par_iter()
             .map(|cfg| {
@@ -961,27 +817,39 @@ impl<'a> Planner<'a> {
                     gpus: cfg.total_gpus() as f64,
                 };
                 let rank_lb = objective.key_lower_bound(&b, ctx);
-                let pareto_lb: Vec<f64> = pareto_objectives
-                    .iter()
-                    .map(|o| o.key_lower_bound(&b, ctx))
-                    .collect();
+                let pareto_lb: Vec<f64> = if single_axis {
+                    Vec::new()
+                } else {
+                    pareto_objectives
+                        .iter()
+                        .map(|o| o.key_lower_bound(&b, ctx))
+                        .collect()
+                };
                 Some((memory, rank_lb, pareto_lb))
             })
             .collect();
+        let mut work: Vec<Work> = assessed
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, a)| a.map(|(m, r, p)| (r, i, m, p)))
+            .collect();
+        let fitting = work.len() as u64;
 
         // Ascending-bound evaluation order (ties broken by enumeration
         // index): classic best-first B&B, so the threshold tightens as
-        // fast as the bounds allow.
-        let mut work: Vec<(usize, MemoryUsage, f64, Vec<f64>)> = assessed
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, a)| a.map(|(m, r, p)| (i, m, r, p)))
-            .collect();
-        let fitting = work.len() as u64;
-        work.sort_by(|a, b| ord::time_cmp(a.2, b.2).then(a.0.cmp(&b.0)));
+        // fast as the bounds allow. The seeds are the `top_k` smallest
+        // bounds; only the candidates left after them need sorting.
+        let by_bound = |a: &Work, b: &Work| ord::time_cmp(a.0, b.0).then(a.1.cmp(&b.1));
+        let seeds = top_k.min(work.len());
+        if seeds < work.len() {
+            work.select_nth_unstable_by(seeds, by_bound);
+        }
+        let mut rest_work = work.split_off(seeds);
 
-        let topk = ord::TopkIncumbent::new(self.config.top_k);
-        let archive = DominanceArchive::default();
+        let topk = ord::TopkIncumbent::new(top_k);
+        // On a single axis the k-th-incumbent prune already implies the
+        // Pareto-safe one (see the method docs): no archive is kept.
+        let archive = (!single_axis).then(DominanceArchive::default);
         let evaluate = |i: usize, memory: MemoryUsage| -> Evaluation {
             let cfg = &partitions[i];
             let (profile, _) = cache.get_with_fps(cfg);
@@ -994,23 +862,34 @@ impl<'a> Planner<'a> {
                 memory,
             );
             topk.publish(objective.key(&e, ctx));
-            archive.insert(pareto_objectives.iter().map(|o| o.key(&e, ctx)).collect());
+            if let Some(archive) = &archive {
+                archive.insert(pareto_objectives.iter().map(|o| o.key(&e, ctx)).collect());
+            }
             e
         };
 
         // Pass 2a (seeds): the top_k smallest-bound candidates are the
         // likeliest top-k members — evaluate them unconditionally to warm
         // the threshold before any prune decision is made.
-        let (seed_work, rest_work) = work.split_at(self.config.top_k.min(work.len()));
-        let seed_evals: Vec<(usize, Evaluation)> = seed_work
+        let mut evaluated: Vec<(usize, Evaluation)> = work
             .par_iter()
-            .map(|&(i, memory, _, _)| (i, evaluate(i, memory)))
+            .map(|&(_, i, memory, _)| (i, evaluate(i, memory)))
             .collect();
+
+        // Single-axis tail cut (see the method docs). IEEE `>` keeps NaN
+        // bounds, wherever the total order placed them.
+        if single_axis {
+            let cut = relax_up(topk.threshold());
+            let before = rest_work.len();
+            rest_work.retain(|w| !ord::exceeds_bound(w.0, cut));
+            note_bound_pruned((before - rest_work.len()) as u64);
+        }
+        rest_work.sort_unstable_by(by_bound);
 
         // Pass 2b (branch-and-bound sweep).
         let rest: Vec<Option<(usize, Evaluation)>> = rest_work
             .par_iter()
-            .map(|&(i, memory, rank_lb, ref pareto_lb)| {
+            .map(|&(rank_lb, i, memory, ref pareto_lb)| {
                 let out_of_topk = ord::exceeds_bound(rank_lb, relax_up(topk.threshold()));
                 let past_lex_cut = match lex_cut_tol {
                     None => true,
@@ -1020,7 +899,12 @@ impl<'a> Planner<'a> {
                     }
                     Some(_) => false,
                 };
-                if out_of_topk && past_lex_cut && archive.strictly_covers(pareto_lb) {
+                if out_of_topk
+                    && past_lex_cut
+                    && archive
+                        .as_ref()
+                        .is_none_or(|a| a.strictly_covers(pareto_lb))
+                {
                     return None;
                 }
                 Some((i, evaluate(i, memory)))
@@ -1028,19 +912,11 @@ impl<'a> Planner<'a> {
             .collect();
 
         // Reassemble in enumeration order; report the skips.
-        let mut slots: Vec<Option<Evaluation>> = vec![None; partitions.len()];
-        for (i, e) in seed_evals {
-            slots[i] = Some(e);
-        }
-        let mut pruned = 0u64;
-        for r in rest {
-            match r {
-                Some((i, e)) => slots[i] = Some(e),
-                None => pruned += 1,
-            }
-        }
-        note_topk_pruned(pruned);
-        let evals: Vec<Evaluation> = slots.into_iter().flatten().collect();
+        let before = evaluated.len() + rest.len();
+        evaluated.extend(rest.into_iter().flatten());
+        note_topk_pruned((before - evaluated.len()) as u64);
+        evaluated.sort_unstable_by_key(|&(i, _)| i);
+        let evals: Vec<Evaluation> = evaluated.into_iter().map(|(_, e)| e).collect();
         Some((evals, fitting))
     }
 }
@@ -1050,7 +926,6 @@ use plan::{pareto_frontier, plan_of};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{optimize, sweep_partitions, SearchOptions};
     use crate::TpStrategy;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use systems::{system, GpuGeneration, NvsSize};
@@ -1061,43 +936,100 @@ mod tests {
     }
 
     #[test]
-    fn best_plan_matches_legacy_optimize() {
+    fn best_plan_matches_best_evaluation() {
         let model = gpt3_1t().config;
         let sys = b200_nvs8();
-        let opts = SearchOptions::default()
+        let planner = Planner::new(&model, &sys)
             .gpus(256)
             .global_batch(4096)
             .strategy(TpStrategy::OneD);
-        let legacy = optimize(&model, &sys, &opts).unwrap();
-        let plans = Planner::new(&model, &sys)
-            .space(SearchSpace::from(&opts))
-            .execute();
+        let single = planner.best_evaluation().unwrap();
+        let plans = planner.execute();
         let best = plans.best().unwrap();
-        assert_eq!(best.eval.iteration_time, legacy.iteration_time);
-        assert_eq!(best.eval.config, legacy.config);
+        assert_eq!(best.eval, single);
         assert_eq!(plans.candidates, plans.feasible);
     }
 
     #[test]
     fn top_k_is_sweep_prefix() {
         // Under the iteration-time objective the top-k list is exactly
-        // the feasible prefix of the legacy sorted sweep.
+        // the feasible prefix of the stably sorted full sweep.
         let model = gpt3_1t().config;
         let sys = b200_nvs8();
-        let opts = SearchOptions::default()
+        let planner = Planner::new(&model, &sys)
             .gpus(128)
             .strategy(TpStrategy::OneD);
-        let sweep: Vec<_> = sweep_partitions(&model, &sys, &opts)
-            .into_iter()
-            .filter(|e| e.feasible)
-            .collect();
-        let plans = Planner::new(&model, &sys)
-            .space(SearchSpace::from(&opts))
-            .top_k(5)
-            .execute();
+        let mut sweep = planner.evaluations();
+        sweep.sort_by(|a, b| ord::time_cmp(a.iteration_time, b.iteration_time));
+        let plans = planner.top_k(5).execute();
         assert_eq!(plans.top.len(), 5.min(sweep.len()));
         for (p, e) in plans.top.iter().zip(&sweep) {
             assert_eq!(p.eval.iteration_time, e.iteration_time);
+        }
+    }
+
+    #[test]
+    fn best_evaluation_ignores_the_ranking_state() {
+        // The single-optimum search fixes its own objective, frontier,
+        // top-k and feasibility filter; only the space, serving traffic
+        // and constraints carry over.
+        let model = gpt3_1t().config;
+        let sys = b200_nvs8();
+        let base = Planner::new(&model, &sys)
+            .gpus(1024)
+            .strategy(TpStrategy::Summa);
+        let configured = base
+            .clone()
+            .objective(Objective::GpuSeconds)
+            .top_k(3)
+            .pareto([Objective::IterationTime, Objective::HbmHeadroom])
+            .include_infeasible(true);
+        let expected = base.best_evaluation().unwrap();
+        assert_eq!(configured.best_evaluation().unwrap(), expected);
+    }
+
+    #[test]
+    fn best_evaluation_hook_sees_every_fitting_candidate() {
+        // With a hook installed the single-optimum search is the full
+        // sweep: one call per memory-fitting candidate, same optimum.
+        let model = gpt3_1t().config;
+        let sys = b200_nvs8();
+        let base = Planner::new(&model, &sys).gpus(256);
+        let fitting = base.evaluations().len();
+        let seen = Arc::new(AtomicUsize::new(0));
+        let seen2 = Arc::clone(&seen);
+        let hooked = base.clone().on_candidate(move |_| {
+            seen2.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(hooked.best_evaluation(), base.best_evaluation());
+        assert_eq!(seen.load(Ordering::Relaxed), fitting);
+        assert!(fitting > 10);
+    }
+
+    #[test]
+    fn unbounded_doubling_knobs_plan_like_a_finite_bound() {
+        // `u64::MAX` is the space's "unbounded" sentinel and passes
+        // validation; the power-of-two enumeration must stop at 2^63
+        // instead of wrapping, and plan exactly as a large finite bound.
+        let model = gpt3_175b().config;
+        let sys = b200_nvs8();
+        let replay = |f: fn(&mut SearchSpace, u64), v: u64| {
+            let mut cfg = PlannerConfig::default();
+            cfg.space.gpu_counts = vec![64];
+            cfg.space.global_batch = 512;
+            cfg.space.strategies = vec![TpStrategy::Summa];
+            f(&mut cfg.space, v);
+            let json = serde_json::to_string(&cfg).unwrap();
+            let cfg: PlannerConfig = serde_json::from_str(&json).unwrap();
+            Planner::from_config(&model, &sys, cfg).try_execute()
+        };
+        let knobs: [fn(&mut SearchSpace, u64); 2] =
+            [|s, v| s.max_interleave = v, |s, v| s.max_summa_panels = v];
+        for set in knobs {
+            let unbounded = replay(set, u64::MAX).expect("u64::MAX is a valid bound");
+            let finite = replay(set, 1 << 32).expect("2^32 is a valid bound");
+            assert!(!unbounded.top.is_empty());
+            assert_eq!(unbounded, finite);
         }
     }
 

@@ -1,24 +1,22 @@
 //! Typed, declarative search-space description for the [`crate::Planner`].
 //!
-//! A [`SearchSpace`] generalizes [`crate::SearchOptions`] along the two
-//! axes a single free-function call could never express: *several* GPU
-//! counts (so cost-style objectives can trade speed against fleet size)
-//! and *several* TP strategies in one sweep, plus declarative bounds on
-//! the pipeline/data/tensor-parallel degrees. It is plain serializable
-//! data — user *predicates* (arbitrary closures over candidates) live on
-//! the [`crate::Planner`] itself, which is why the space round-trips
-//! through JSON while a configured planner does not.
+//! A [`SearchSpace`] names *several* GPU counts (so cost-style objectives
+//! can trade speed against fleet size) and *several* TP strategies in one
+//! sweep, the microbatch/interleave/ZeRO/expert knobs, declarative bounds
+//! on the pipeline/data/tensor-parallel degrees, and the two exact-prune
+//! flags. It is plain serializable data — user *predicates* (arbitrary
+//! closures over candidates) live on the [`crate::Planner`] itself, which
+//! is why the space round-trips through JSON while a configured planner
+//! does not.
 
 use crate::config::TpStrategy;
-use crate::search::SearchOptions;
 use collectives::Algorithm;
 use serde::{Deserialize, Serialize};
 
 /// The declarative part of a planning problem: which candidates exist.
 ///
-/// Built with named, chainable setters over a documented default set —
-/// the positional-argument trap of the old
-/// `SearchOptions::new(512, 4096, …)` does not exist here:
+/// Built with named, chainable setters over a documented default set, so
+/// every argument's role is visible at the call site:
 ///
 /// ```
 /// use perfmodel::{SearchSpace, TpStrategy};
@@ -38,12 +36,14 @@ pub struct SearchSpace {
     pub global_batch: u64,
     /// Tensor-parallel strategies searched. Default [`TpStrategy::OneD`].
     pub strategies: Vec<TpStrategy>,
-    /// Largest SUMMA panel count tried (powers of two). Default `16`.
+    /// Largest SUMMA panel count tried (powers of two). Default `16`;
+    /// `u64::MAX` means unbounded.
     pub max_summa_panels: u64,
     /// Upper bound on the microbatch size. Default `16`.
     pub max_microbatch: u64,
     /// Largest interleaved-pipeline degree tried (powers of two).
-    /// Default `1` (the paper's non-interleaved 1F1B baseline).
+    /// Default `1` (the paper's non-interleaved 1F1B baseline);
+    /// `u64::MAX` means unbounded.
     pub max_interleave: u64,
     /// Also try ZeRO-3 weight sharding per candidate. Default `false`.
     pub allow_zero3: bool,
@@ -60,16 +60,15 @@ pub struct SearchSpace {
     /// AllReduce algorithm policy candidates are priced under. Default
     /// [`Algorithm::Auto`].
     pub comm_algo: Algorithm,
-    /// Branch-and-bound pruning in the single-optimum path
-    /// ([`crate::Planner::best_evaluation`], against the atomic
-    /// incumbent) and — together with [`SearchSpace::prune_dominated`] —
-    /// in the ranked path ([`crate::Planner::execute`], against the
-    /// concurrent k-th-best threshold). Exact; default `true`.
+    /// Branch-and-bound pruning against the concurrent k-th-best
+    /// threshold in the ranked search behind [`crate::Planner::execute`]
+    /// and [`crate::Planner::best_evaluation`]. The ranked search runs
+    /// only when this flag *and* [`SearchSpace::prune_dominated`] are on;
+    /// either one off selects the full sweep. Exact; default `true`.
     pub branch_and_bound: bool,
-    /// Dominated-candidate elimination in the single-optimum path and —
-    /// together with [`SearchSpace::branch_and_bound`] — the Pareto-safe
-    /// lower-bound domination prune in the ranked path. Exact; default
-    /// `true`.
+    /// The Pareto-safe lower-bound domination prune of the same ranked
+    /// search; gates it together with [`SearchSpace::branch_and_bound`].
+    /// Exact; default `true`.
     pub prune_dominated: bool,
 }
 
@@ -109,12 +108,7 @@ impl SearchSpace {
     /// Searches several GPU counts in one space (deduplicated, order
     /// preserved) — the axis cost objectives trade against.
     pub fn gpu_counts(mut self, counts: impl IntoIterator<Item = u64>) -> Self {
-        self.gpu_counts = Vec::new();
-        for n in counts {
-            if !self.gpu_counts.contains(&n) {
-                self.gpu_counts.push(n);
-            }
-        }
+        self.gpu_counts = dedup_ordered(counts);
         self
     }
 
@@ -133,12 +127,7 @@ impl SearchSpace {
     /// Searches several TP strategies in one space (deduplicated, order
     /// preserved).
     pub fn strategies(mut self, ss: impl IntoIterator<Item = TpStrategy>) -> Self {
-        self.strategies = Vec::new();
-        for s in ss {
-            if !self.strategies.contains(&s) {
-                self.strategies.push(s);
-            }
-        }
+        self.strategies = dedup_ordered(ss);
         self
     }
 
@@ -196,16 +185,14 @@ impl SearchSpace {
         self
     }
 
-    /// Enables or disables branch-and-bound pruning — single-optimum and
-    /// ranked paths alike (exact; default on).
+    /// Enables or disables branch-and-bound pruning (exact; default on).
     pub fn branch_and_bound(mut self, yes: bool) -> Self {
         self.branch_and_bound = yes;
         self
     }
 
-    /// Enables or disables dominated-candidate elimination — single-
-    /// optimum twin/seed elimination and the ranked path's Pareto-safe
-    /// prune (exact; default on).
+    /// Enables or disables the Pareto-safe domination prune (exact;
+    /// default on).
     pub fn prune_dominated(mut self, yes: bool) -> Self {
         self.prune_dominated = yes;
         self
@@ -218,47 +205,15 @@ impl SearchSpace {
             && self.max_data_parallel == u64::MAX
             && self.max_tensor_parallel == u64::MAX
     }
+}
 
-    /// The per-`(gpus, strategy)` options slice of this space, as consumed
-    /// by [`crate::enumerate_partitions`].
-    pub(crate) fn options_for(&self, gpus: u64, strategy: TpStrategy) -> SearchOptions {
-        SearchOptions {
-            gpus,
-            global_batch: self.global_batch,
-            strategy,
-            max_summa_panels: self.max_summa_panels,
-            max_microbatch: self.max_microbatch,
-            max_interleave: self.max_interleave,
-            allow_zero3: self.allow_zero3,
-            max_expert_parallel: self.max_expert_parallel,
-            comm_algo: self.comm_algo,
-            branch_and_bound: self.branch_and_bound,
-            prune_dominated: self.prune_dominated,
+/// `items` without duplicates, first occurrences kept in order.
+pub(crate) fn dedup_ordered<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut out = Vec::new();
+    for x in items {
+        if !out.contains(&x) {
+            out.push(x);
         }
     }
-}
-
-impl From<&SearchOptions> for SearchSpace {
-    /// A single-scale, single-strategy space equivalent to `opts` (the
-    /// wrapper path: the legacy free functions flow through this).
-    fn from(opts: &SearchOptions) -> Self {
-        SearchSpace::new()
-            .gpus(opts.gpus)
-            .global_batch(opts.global_batch)
-            .strategy(opts.strategy)
-            .max_summa_panels(opts.max_summa_panels)
-            .max_microbatch(opts.max_microbatch)
-            .max_interleave(opts.max_interleave)
-            .allow_zero3(opts.allow_zero3)
-            .max_expert_parallel(opts.max_expert_parallel)
-            .comm_algo(opts.comm_algo)
-            .branch_and_bound(opts.branch_and_bound)
-            .prune_dominated(opts.prune_dominated)
-    }
-}
-
-impl From<SearchOptions> for SearchSpace {
-    fn from(opts: SearchOptions) -> Self {
-        SearchSpace::from(&opts)
-    }
+    out
 }

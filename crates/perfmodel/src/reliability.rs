@@ -270,7 +270,6 @@ pub fn assess(e: &Evaluation, ctx: &ObjectiveCtx) -> GoodputReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::best_placement_eval;
     use crate::{ParallelConfig, Planner, TpStrategy};
     use systems::{system, GpuGeneration, NvsSize};
     use txmodel::gpt3_175b;
@@ -279,7 +278,9 @@ mod tests {
         let model = gpt3_175b().config;
         let sys = system(GpuGeneration::B200, NvsSize::Nvs8).with_reliability(spec);
         let cfg = ParallelConfig::new(TpStrategy::OneD, 8, 1, 1, 512, 2);
-        let e = best_placement_eval(&model, &cfg, 1024, &sys);
+        let e = Planner::new(&model, &sys)
+            .global_batch(1024)
+            .evaluate_config(&cfg);
         let ctx = Planner::new(&model, &sys)
             .global_batch(1024)
             .objective_ctx();
@@ -356,18 +357,11 @@ mod tests {
         let ctx = Planner::new(&model, &sys)
             .global_batch(1024)
             .objective_ctx();
-        let wide = best_placement_eval(
-            &model,
-            &ParallelConfig::new(TpStrategy::OneD, 16, 1, 1, 256, 4),
-            1024,
-            &sys,
-        );
-        let narrow = best_placement_eval(
-            &model,
-            &ParallelConfig::new(TpStrategy::OneD, 4, 1, 1, 1024, 1),
-            1024,
-            &sys,
-        );
+        let planner = Planner::new(&model, &sys).global_batch(1024);
+        let wide =
+            planner.evaluate_config(&ParallelConfig::new(TpStrategy::OneD, 16, 1, 1, 256, 4));
+        let narrow =
+            planner.evaluate_config(&ParallelConfig::new(TpStrategy::OneD, 4, 1, 1, 1024, 1));
         let (rw, rn) = (assess(&wide, &ctx), assess(&narrow, &ctx));
         assert!(rw.checkpoint_bytes < rn.checkpoint_bytes);
         assert!(rw.checkpoint_time < rn.checkpoint_time);

@@ -1,5 +1,6 @@
 //! Stage S3: brute-force design-space search (paper "Optimal
-//! Configuration").
+//! Configuration") — the candidate enumeration and the per-candidate
+//! placement loop behind every [`crate::Planner`] entry point.
 //!
 //! Given `n` GPUs, a global batch size and a TP strategy, the search
 //! enumerates every factorization `n = n1·n2·np·nd` obeying the
@@ -9,246 +10,65 @@
 //! swept **jointly** in one space, not per-config), and — for each
 //! candidate — every maximal NVS-domain placement.
 //!
-//! The free functions here ([`optimize`], [`sweep_partitions`],
-//! [`best_placement_eval`]) are the original entry points, kept as thin,
-//! bit-identical wrappers over the composable [`Planner`]
-//! (`crate::planner`) — new code should use the planner directly. All of
-//! them flow through one shared evaluated-sweep path
-//! ([`Planner::evaluations`]):
-//!
-//! 1. enumerate the candidates ([`enumerate_partitions`]);
-//! 2. build a [`crate::ProfileCache`] holding **exactly one** [`LayerProfile`]
-//!    per distinct TP tuple `(strategy, n1, n2, bm, nb, ep)` — see
-//!    [`crate::partition::cache`] for the key invariants — so the
-//!    `(np, nd, interleave, zero3, placement)` inner space reuses shared,
-//!    read-only profiles instead of rebuilding them per candidate;
-//! 3. fan the candidates out over the rayon pool; each evaluates its
-//!    placements against the cached profile. `optimize` additionally
-//!    prunes candidates whose (placement-independent) memory footprint
-//!    cannot fit HBM before enumerating any placement, and — via
-//!    [`Planner::best_evaluation`] — branch-and-bound-prunes candidates
-//!    whose admissible lower bound
-//!    (`evaluate::iteration_time_lower_bound`) cannot beat the
-//!    running incumbent, plus provably-dominated candidates. Both prunes
-//!    are **exact** (flags [`SearchOptions::branch_and_bound`] /
-//!    [`SearchOptions::prune_dominated`], default on): the returned
-//!    optimum is bit-identical to the unpruned sweep's.
-//!
+//! The planner builds a [`crate::ProfileCache`] holding **exactly one**
+//! [`LayerProfile`] per distinct TP tuple `(strategy, n1, n2, bm, nb, ep)`
+//! (see [`crate::partition::cache`] for the key invariants), so the
+//! `(np, nd, interleave, zero3, placement)` inner space reuses shared,
+//! read-only profiles, and fans the candidates out over the rayon pool.
 //! Results are deterministic and bit-identical across thread counts: the
 //! pool preserves input order, every reduction runs over the ordered
 //! results, and sorting is stable.
 
 use crate::config::{ParallelConfig, TpStrategy};
 use crate::evaluate::{evaluate_placement, placement_breakdown, Evaluation, PassFingerprints};
-use crate::memory::memory_usage;
 use crate::partition::cache::system_fingerprint;
 use crate::placement::{divisors, enumerate_placements};
 use crate::plan::LayerProfile;
-use crate::planner::{Planner, SearchSpace};
-use collectives::Algorithm;
+use crate::planner::SearchSpace;
 use rayon::prelude::*;
 use systems::SystemSpec;
 use txmodel::TransformerConfig;
 
-/// Search-space parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchOptions {
-    /// Total GPUs `n`.
-    pub gpus: u64,
-    /// Global batch size `b` in samples.
-    pub global_batch: u64,
-    /// Tensor-parallel strategy to search within.
-    pub strategy: TpStrategy,
-    /// Largest SUMMA panel count tried (powers of two up to this bound).
-    pub max_summa_panels: u64,
-    /// Upper bound on microbatch size (the paper sweeps small `bm`; large
-    /// microbatches are almost always memory-infeasible anyway).
-    pub max_microbatch: u64,
-    /// Largest interleaved-pipeline degree tried (powers of two; 1 = the
-    /// paper's baseline non-interleaved 1F1B only).
-    pub max_interleave: u64,
-    /// Also try ZeRO-3 weight sharding for every candidate.
-    pub allow_zero3: bool,
-    /// Largest expert-parallel degree tried for MoE models (every valid
-    /// divisor of `nd` up to this bound that also divides the expert
-    /// count; dense models always search `ep = 1` only). The default —
-    /// `u64::MAX` — sweeps the whole `(tp, pp, dp, ep)` space jointly.
-    pub max_expert_parallel: u64,
-    /// AllReduce algorithm policy every candidate is priced under
-    /// (see [`crate::ParallelConfig::comm_algo`]). `Auto` — the default —
-    /// models NCCL's autotuner; `Ring` recovers the paper's ring-only
-    /// model.
-    pub comm_algo: Algorithm,
-    /// Branch-and-bound pruning in [`optimize`] /
-    /// [`Planner::best_evaluation`]: skip a candidate's placement loop
-    /// when its admissible lower bound
-    /// (`evaluate::iteration_time_lower_bound`) already exceeds
-    /// the incumbent best time. The same flag (with
-    /// [`SearchOptions::prune_dominated`]) gates the ranked path's
-    /// k-th-incumbent prune in [`Planner::execute`]. Exact — the results
-    /// are bit-identical with the flag off — so it defaults on; turn it
-    /// off to benchmark the raw sweep.
-    pub branch_and_bound: bool,
-    /// Dominated-candidate elimination in [`optimize`] /
-    /// [`Planner::best_evaluation`]: drop candidates a provably
-    /// no-worse candidate renders redundant (e.g. `np = 1` with
-    /// `interleave > 1`, whose timing is identical and memory no better
-    /// than its `interleave = 1` twin) and candidates whose lower bound
-    /// cannot beat a fully-evaluated seed. The same flag (with
-    /// [`SearchOptions::branch_and_bound`]) gates the ranked path's
-    /// Pareto-safe domination prune in [`Planner::execute`]. Exact for
-    /// the returned results; defaults on.
-    pub prune_dominated: bool,
+/// Powers of two from 1 up to `max` (inclusive). The doubling is checked:
+/// `u64::MAX` — the "unbounded" sentinel of the space's knobs — stops at
+/// `2^63` instead of wrapping to 0 and pushing zeros forever.
+fn powers_of_two_up_to(max: u64) -> Vec<u64> {
+    std::iter::successors(Some(1u64), |&x| x.checked_mul(2))
+        .take_while(|&x| x <= max.max(1))
+        .collect()
 }
 
-impl Default for SearchOptions {
-    /// The compile-visible default set: 512 GPUs, global batch 4096, 1D
-    /// TP, panels up to 16, microbatches up to 16, the paper's baseline
-    /// schedule (no interleaving, no ZeRO-3), unbounded expert
-    /// parallelism, `Auto` algorithm policy, both exact prunes on.
-    fn default() -> Self {
-        Self {
-            gpus: 512,
-            global_batch: 4096,
-            strategy: TpStrategy::OneD,
-            max_summa_panels: 16,
-            max_microbatch: 16,
-            max_interleave: 1,
-            allow_zero3: false,
-            max_expert_parallel: u64::MAX,
-            comm_algo: Algorithm::Auto,
-            branch_and_bound: true,
-            prune_dominated: true,
-        }
-    }
-}
-
-impl SearchOptions {
-    /// Compatibility shim for the old positional constructor. Prefer the
-    /// named builders — `SearchOptions::default().gpus(512)
-    /// .global_batch(4096).strategy(…)` — or the [`Planner`] API, which
-    /// make the argument roles visible at the call site.
-    #[doc(hidden)]
-    pub fn new(gpus: u64, global_batch: u64, strategy: TpStrategy) -> Self {
-        Self::default()
-            .gpus(gpus)
-            .global_batch(global_batch)
-            .strategy(strategy)
-    }
-
-    /// Sets the total GPU count `n`.
-    pub fn gpus(mut self, n: u64) -> Self {
-        self.gpus = n;
-        self
-    }
-
-    /// Sets the global batch size `b`.
-    pub fn global_batch(mut self, b: u64) -> Self {
-        self.global_batch = b;
-        self
-    }
-
-    /// Sets the tensor-parallel strategy searched.
-    pub fn strategy(mut self, s: TpStrategy) -> Self {
-        self.strategy = s;
-        self
-    }
-
-    /// Sets the largest SUMMA panel count tried.
-    pub fn max_summa_panels(mut self, nb: u64) -> Self {
-        self.max_summa_panels = nb;
-        self
-    }
-
-    /// Sets the microbatch-size upper bound.
-    pub fn max_microbatch(mut self, bm: u64) -> Self {
-        self.max_microbatch = bm;
-        self
-    }
-
-    /// Sets the largest interleaved-pipeline degree tried.
-    pub fn max_interleave(mut self, v: u64) -> Self {
-        self.max_interleave = v;
-        self
-    }
-
-    /// Also sweeps ZeRO-3 weight sharding.
-    pub fn allow_zero3(mut self, yes: bool) -> Self {
-        self.allow_zero3 = yes;
-        self
-    }
-
-    /// Bounds the expert-parallel degree (MoE models).
-    pub fn max_expert_parallel(mut self, ep: u64) -> Self {
-        self.max_expert_parallel = ep;
-        self
-    }
-
-    /// Enables or disables branch-and-bound pruning (exact; default on).
-    pub fn branch_and_bound(mut self, yes: bool) -> Self {
-        self.branch_and_bound = yes;
-        self
-    }
-
-    /// Enables or disables dominated-candidate elimination (exact;
-    /// default on).
-    pub fn prune_dominated(mut self, yes: bool) -> Self {
-        self.prune_dominated = yes;
-        self
-    }
-
-    /// Sets the AllReduce algorithm pricing policy.
-    pub fn comm_algo(mut self, algo: Algorithm) -> Self {
-        self.comm_algo = algo;
-        self
-    }
-}
-
-/// Enumerates every valid [`ParallelConfig`] (without placements) for the
-/// given options.
+/// Enumerates every valid [`ParallelConfig`] (without placements) of the
+/// `(gpus, strategy)` sub-space of `space`.
 ///
 /// Parallelized over the outermost `n1` axis (one task per divisor of
 /// `n`); the per-`n1` slices are flattened back in `n1` order, so the
 /// output is bit-identical to the sequential nesting for any thread
 /// count. This keeps the sequential prefix of a search call — candidate
 /// generation — from capping parallel speedup on small sweeps.
-pub fn enumerate_partitions(
+pub(crate) fn enumerate_partitions(
     model: &TransformerConfig,
-    opts: &SearchOptions,
+    space: &SearchSpace,
+    gpus: u64,
+    strategy: TpStrategy,
 ) -> Vec<ParallelConfig> {
-    let n = opts.gpus;
-    let b = opts.global_batch;
-    let interleave_choices: Vec<u64> = {
-        let mut v = vec![1u64];
-        let mut x = 2;
-        while x <= opts.max_interleave {
-            v.push(x);
-            x *= 2;
-        }
-        v
-    };
-    let zero3_choices: &[bool] = if opts.allow_zero3 {
+    let n = gpus;
+    let b = space.global_batch;
+    let interleave_choices = powers_of_two_up_to(space.max_interleave);
+    let zero3_choices: &[bool] = if space.allow_zero3 {
         &[false, true]
     } else {
         &[false]
     };
-    let panel_choices: Vec<u64> = match opts.strategy {
-        TpStrategy::Summa => {
-            let mut v = vec![1u64];
-            let mut p = 2;
-            while p <= opts.max_summa_panels {
-                v.push(p);
-                p *= 2;
-            }
-            v
-        }
+    let panel_choices = match strategy {
+        TpStrategy::Summa => powers_of_two_up_to(space.max_summa_panels),
         _ => vec![1],
     };
     let per_n1: Vec<Vec<ParallelConfig>> = divisors(n)
         .par_iter()
         .map(|&n1| {
             let mut out = Vec::new();
-            let n2_choices: Vec<u64> = if opts.strategy == TpStrategy::OneD {
+            let n2_choices: Vec<u64> = if strategy == TpStrategy::OneD {
                 vec![1]
             } else {
                 divisors(n / n1)
@@ -267,13 +87,13 @@ pub fn enumerate_partitions(
                         Some(moe) => divisors(nd)
                             .into_iter()
                             .filter(|&ep| {
-                                ep <= opts.max_expert_parallel && moe.experts.is_multiple_of(ep)
+                                ep <= space.max_expert_parallel && moe.experts.is_multiple_of(ep)
                             })
                             .collect(),
                     };
                     let local_batch = b / nd;
                     for bm in divisors(local_batch) {
-                        if bm > opts.max_microbatch {
+                        if bm > space.max_microbatch {
                             continue;
                         }
                         for &nb in &panel_choices {
@@ -281,7 +101,7 @@ pub fn enumerate_partitions(
                                 for &v in &interleave_choices {
                                     for &zero3 in zero3_choices {
                                         let cfg = ParallelConfig {
-                                            strategy: opts.strategy,
+                                            strategy,
                                             n1,
                                             n2,
                                             np,
@@ -291,7 +111,7 @@ pub fn enumerate_partitions(
                                             summa_panels: nb,
                                             interleave: v,
                                             zero3,
-                                            comm_algo: opts.comm_algo,
+                                            comm_algo: space.comm_algo,
                                         };
                                         if cfg.validate(model, b).is_ok() {
                                             out.push(cfg);
@@ -309,43 +129,11 @@ pub fn enumerate_partitions(
     per_n1.into_iter().flatten().collect()
 }
 
-/// Evaluates a fixed configuration under its *best* NVS placement (used
-/// directly by the Fig. 1–3 style analyses, where the parallelization is
-/// pinned and only the assignment is optimized — paper Q1: "for any
-/// parallelization configuration, the assignment to NVS domain is
-/// optimal").
-pub fn best_placement_eval(
-    model: &TransformerConfig,
-    cfg: &ParallelConfig,
-    global_batch: u64,
-    sys: &SystemSpec,
-) -> Evaluation {
-    // Thin wrapper over the planner's pinned-configuration path.
-    Planner::new(model, sys)
-        .global_batch(global_batch)
-        .evaluate_config(cfg)
-}
-
-/// [`best_placement_eval`] against an already-built layer profile (the
-/// search's hot path: the profile comes out of the [`crate::ProfileCache`]
-/// and is shared by every candidate with the same TP tuple). The memory
-/// accounting is placement-independent, so it is priced once here rather
-/// than once per placement.
-pub fn best_placement_eval_with_profile(
-    profile: &LayerProfile,
-    model: &TransformerConfig,
-    cfg: &ParallelConfig,
-    global_batch: u64,
-    sys: &SystemSpec,
-) -> Evaluation {
-    let memory = memory_usage(profile, model, cfg, global_batch);
-    best_placement_with_memory(profile, model, cfg, global_batch, sys, memory)
-}
-
-/// Placement loop of [`best_placement_eval_with_profile`] with the memory
-/// accounting already priced, so the sweep's prune check and the
-/// evaluation share one computation (also the [`Planner`]'s per-candidate
-/// inner loop).
+/// Evaluates one candidate under its *best* NVS placement (paper Q1: "for
+/// any parallelization configuration, the assignment to NVS domain is
+/// optimal"), against an already-built layer profile and with the
+/// placement-independent memory accounting already priced — the planner's
+/// per-candidate inner loop.
 pub(crate) fn best_placement_with_memory(
     profile: &LayerProfile,
     model: &TransformerConfig,
@@ -379,51 +167,11 @@ pub(crate) fn best_placement_with_memory(
     evaluate_placement(profile, model, cfg, winner, global_batch, sys, memory)
 }
 
-/// Best-placement evaluation of **every** partition in the space, sorted
-/// by iteration time (fastest first). Infeasible configurations are
-/// included (flagged) so figures can show them.
-///
-/// Thin wrapper over [`Planner::evaluations`]; output is pinned
-/// bit-identical to the pre-planner implementation.
-pub fn sweep_partitions(
-    model: &TransformerConfig,
-    sys: &SystemSpec,
-    opts: &SearchOptions,
-) -> Vec<Evaluation> {
-    let mut evals = Planner::new(model, sys)
-        .space(SearchSpace::from(opts))
-        .include_infeasible(true)
-        .evaluations();
-    // Stable sort: equal iteration times keep enumeration order, so the
-    // output is identical for any thread count.
-    evals.sort_by(|a, b| crate::ord::time_cmp(a.iteration_time, b.iteration_time));
-    evals
-}
-
-/// Full S3 search: the fastest *feasible* configuration, or `None` if
-/// nothing fits in HBM.
-///
-/// Thin wrapper over [`Planner::best_evaluation`] — the pruned
-/// single-optimum path (memory prune + branch-and-bound + dominated
-/// elimination, per the [`SearchOptions`] flags); output is pinned
-/// bit-identical to the pre-planner implementation and to the unpruned
-/// sweep's first feasible entry. New code should use
-/// [`Planner::execute`], which also yields runner-ups, multi-objective
-/// rankings and serializable [`crate::Plan`]s.
-pub fn optimize(
-    model: &TransformerConfig,
-    sys: &SystemSpec,
-    opts: &SearchOptions,
-) -> Option<Evaluation> {
-    Planner::new(model, sys)
-        .space(SearchSpace::from(opts))
-        .best_evaluation()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::partition::ProfileCache;
+    use crate::Planner;
     use systems::{system, GpuGeneration, NvsSize};
     use txmodel::{gpt3_1t, vit_64k};
 
@@ -431,11 +179,35 @@ mod tests {
         system(GpuGeneration::B200, NvsSize::Nvs8)
     }
 
+    fn space(global_batch: u64) -> SearchSpace {
+        SearchSpace::new().global_batch(global_batch)
+    }
+
+    fn planner<'a>(
+        model: &'a TransformerConfig,
+        sys: &'a SystemSpec,
+        gpus: u64,
+        global_batch: u64,
+        strategy: TpStrategy,
+    ) -> Planner<'a> {
+        Planner::new(model, sys)
+            .gpus(gpus)
+            .global_batch(global_batch)
+            .strategy(strategy)
+    }
+
+    /// Every candidate (infeasible ones flagged), stably sorted by
+    /// iteration time.
+    fn sorted_sweep(p: &Planner) -> Vec<Evaluation> {
+        let mut evals = p.clone().include_infeasible(true).evaluations();
+        evals.sort_by(|a, b| crate::ord::time_cmp(a.iteration_time, b.iteration_time));
+        evals
+    }
+
     #[test]
     fn partitions_cover_the_grid() {
         let model = gpt3_1t().config;
-        let opts = SearchOptions::new(512, 4096, TpStrategy::OneD);
-        let parts = enumerate_partitions(&model, &opts);
+        let parts = enumerate_partitions(&model, &space(4096), 512, TpStrategy::OneD);
         assert!(!parts.is_empty());
         for p in &parts {
             assert_eq!(p.total_gpus(), 512);
@@ -447,24 +219,30 @@ mod tests {
     }
 
     #[test]
+    fn doubling_stops_at_the_largest_power_of_two() {
+        assert_eq!(powers_of_two_up_to(0), [1]);
+        assert_eq!(powers_of_two_up_to(1), [1]);
+        assert_eq!(powers_of_two_up_to(6), [1, 2, 4]);
+        let unbounded = powers_of_two_up_to(u64::MAX);
+        assert_eq!(unbounded.len(), 64);
+        assert_eq!(unbounded.last(), Some(&(1u64 << 63)));
+    }
+
+    #[test]
     fn summa_enumerates_panel_counts() {
         let model = gpt3_1t().config;
-        let opts = SearchOptions::new(64, 4096, TpStrategy::Summa);
-        let parts = enumerate_partitions(&model, &opts);
+        let parts = enumerate_partitions(&model, &space(4096), 64, TpStrategy::Summa);
         let nbs: std::collections::HashSet<u64> = parts.iter().map(|p| p.summa_panels).collect();
         assert!(nbs.contains(&1) && nbs.contains(&16));
     }
 
     #[test]
-    fn optimize_finds_feasible_gpt_config() {
+    fn best_evaluation_finds_feasible_gpt_config() {
         let model = gpt3_1t().config;
         let sys = b200_nvs8();
-        let best = optimize(
-            &model,
-            &sys,
-            &SearchOptions::new(1024, 4096, TpStrategy::OneD),
-        )
-        .expect("1024 B200s can train GPT3-1T");
+        let best = planner(&model, &sys, 1024, 4096, TpStrategy::OneD)
+            .best_evaluation()
+            .expect("1024 B200s can train GPT3-1T");
         assert!(best.feasible);
         assert!(best.memory.fits(sys.gpu.hbm_capacity));
         // The optimum needs real TP and PP at this scale.
@@ -477,11 +255,7 @@ mod tests {
         // Paper Q2(iv): the 64K ViT cannot train with 1D TP.
         let model = vit_64k().config;
         let sys = b200_nvs8();
-        let best = optimize(
-            &model,
-            &sys,
-            &SearchOptions::new(512, 4096, TpStrategy::OneD),
-        );
+        let best = planner(&model, &sys, 512, 4096, TpStrategy::OneD).best_evaluation();
         assert!(best.is_none());
     }
 
@@ -489,12 +263,9 @@ mod tests {
     fn vit_2d_tp_is_feasible() {
         let model = vit_64k().config;
         let sys = b200_nvs8();
-        let best = optimize(
-            &model,
-            &sys,
-            &SearchOptions::new(512, 4096, TpStrategy::TwoD),
-        )
-        .expect("2D TP makes the ViT trainable");
+        let best = planner(&model, &sys, 512, 4096, TpStrategy::TwoD)
+            .best_evaluation()
+            .expect("2D TP makes the ViT trainable");
         // Real 2D: sequence dimension in use.
         assert!(best.config.n2 >= 2, "{}", best.config);
         assert!(best.config.tensor_parallel() >= 16);
@@ -504,12 +275,12 @@ mod tests {
     fn sweep_is_sorted_and_superset_of_optimum() {
         let model = gpt3_1t().config;
         let sys = b200_nvs8();
-        let opts = SearchOptions::new(256, 4096, TpStrategy::OneD);
-        let sweep = sweep_partitions(&model, &sys, &opts);
+        let p = planner(&model, &sys, 256, 4096, TpStrategy::OneD);
+        let sweep = sorted_sweep(&p);
         assert!(sweep
             .windows(2)
             .all(|w| w[0].iteration_time <= w[1].iteration_time));
-        let best = optimize(&model, &sys, &opts).unwrap();
+        let best = p.best_evaluation().unwrap();
         let sweep_best = sweep.iter().find(|e| e.feasible).unwrap();
         assert!((sweep_best.iteration_time - best.iteration_time).abs() < 1e-12);
     }
@@ -520,25 +291,20 @@ mod tests {
         // the optimum can only improve (or tie).
         let model = gpt3_1t().config;
         let sys = b200_nvs8();
-        let base = optimize(
-            &model,
-            &sys,
-            &SearchOptions::new(1024, 4096, TpStrategy::OneD),
-        )
-        .unwrap();
-        let mut opts = SearchOptions::new(1024, 4096, TpStrategy::OneD);
-        opts.max_interleave = 4;
-        opts.allow_zero3 = true;
-        let ext = optimize(&model, &sys, &opts).unwrap();
+        let p = planner(&model, &sys, 1024, 4096, TpStrategy::OneD);
+        let base = p.best_evaluation().unwrap();
+        let ext = p
+            .with_space(|s| s.max_interleave(4).allow_zero3(true))
+            .best_evaluation()
+            .unwrap();
         assert!(ext.iteration_time <= base.iteration_time + 1e-12);
     }
 
     #[test]
     fn interleave_enumeration_respects_layer_divisibility() {
         let model = gpt3_1t().config; // depth 128
-        let mut opts = SearchOptions::new(1024, 4096, TpStrategy::OneD);
-        opts.max_interleave = 4;
-        for cfg in enumerate_partitions(&model, &opts) {
+        let s = space(4096).max_interleave(4);
+        for cfg in enumerate_partitions(&model, &s, 1024, TpStrategy::OneD) {
             assert_eq!((model.depth / cfg.np) % cfg.interleave, 0);
         }
     }
@@ -547,17 +313,17 @@ mod tests {
     fn sweep_is_bit_identical_across_thread_counts() {
         let model = gpt3_1t().config;
         let sys = b200_nvs8();
-        let opts = SearchOptions::new(256, 4096, TpStrategy::OneD);
+        let p = planner(&model, &sys, 256, 4096, TpStrategy::OneD);
         let pool = |n| {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(n)
                 .build()
                 .unwrap()
         };
-        let seq = pool(1).install(|| sweep_partitions(&model, &sys, &opts));
+        let seq = pool(1).install(|| sorted_sweep(&p));
         assert!(!seq.is_empty());
         for n in [2, 4, 8] {
-            let par = pool(n).install(|| sweep_partitions(&model, &sys, &opts));
+            let par = pool(n).install(|| sorted_sweep(&p));
             // Full struct equality: same ordering, bit-identical
             // iteration times, breakdowns and memory accounting.
             assert_eq!(par, seq, "thread count {n}");
@@ -565,48 +331,46 @@ mod tests {
     }
 
     #[test]
-    fn optimize_is_bit_identical_across_thread_counts() {
+    fn best_evaluation_is_bit_identical_across_thread_counts() {
         let model = gpt3_1t().config;
         let sys = b200_nvs8();
-        let opts = SearchOptions::new(512, 4096, TpStrategy::TwoD);
+        let p = planner(&model, &sys, 512, 4096, TpStrategy::TwoD);
         let pool = |n| {
             rayon::ThreadPoolBuilder::new()
                 .num_threads(n)
                 .build()
                 .unwrap()
         };
-        let seq = pool(1).install(|| optimize(&model, &sys, &opts)).unwrap();
+        let seq = pool(1).install(|| p.best_evaluation()).unwrap();
         for n in [2, 8] {
-            let par = pool(n).install(|| optimize(&model, &sys, &opts)).unwrap();
+            let par = pool(n).install(|| p.best_evaluation()).unwrap();
             assert_eq!(par, seq, "thread count {n}");
         }
     }
 
     #[test]
     fn memory_prune_is_exact() {
-        // The pruned optimize must agree exactly with the unpruned sweep's
-        // first feasible entry: the prune may only skip candidates the
-        // feasibility filter would have discarded.
+        // The pruned best_evaluation must agree exactly with the unpruned
+        // sweep's first feasible entry: the prune may only skip candidates
+        // the feasibility filter would have discarded.
         let model = gpt3_1t().config;
         let sys = b200_nvs8();
-        let opts = SearchOptions::new(512, 4096, TpStrategy::OneD);
-        let via_sweep = sweep_partitions(&model, &sys, &opts)
-            .into_iter()
-            .find(|e| e.feasible);
-        let direct = optimize(&model, &sys, &opts);
+        let p = planner(&model, &sys, 512, 4096, TpStrategy::OneD);
+        let via_sweep = sorted_sweep(&p).into_iter().find(|e| e.feasible);
+        let direct = p.best_evaluation();
         assert_eq!(direct, via_sweep);
     }
 
     #[test]
     fn cached_path_matches_from_scratch_eval() {
-        // best_placement_eval (profile built ad hoc) and the cache-backed
+        // evaluate_config (profile built ad hoc) and the cache-backed
         // sweep must produce bit-identical evaluations per candidate.
         let model = gpt3_1t().config;
         let sys = b200_nvs8();
-        let opts = SearchOptions::new(64, 4096, TpStrategy::Summa);
-        let sweep = sweep_partitions(&model, &sys, &opts);
+        let p = planner(&model, &sys, 64, 4096, TpStrategy::Summa);
+        let sweep = sorted_sweep(&p);
         for e in sweep.iter().take(25) {
-            let scratch = best_placement_eval(&model, &e.config, 4096, &sys);
+            let scratch = p.evaluate_config(&e.config);
             assert_eq!(&scratch, e);
         }
     }
@@ -620,11 +384,12 @@ mod tests {
             (gpt3_1t().config, 1024, 4096, TpStrategy::OneD),
             (vit_64k().config, 512, 4096, TpStrategy::TwoD),
         ] {
-            let mut ring = SearchOptions::new(n, b, strategy);
-            ring.comm_algo = collectives::Algorithm::Ring;
-            let auto = SearchOptions::new(n, b, strategy);
-            let r = optimize(&model, &sys, &ring).unwrap();
-            let a = optimize(&model, &sys, &auto).unwrap();
+            let auto = planner(&model, &sys, n, b, strategy);
+            let ring = auto
+                .clone()
+                .with_space(|s| s.comm_algo(collectives::Algorithm::Ring));
+            let r = ring.best_evaluation().unwrap();
+            let a = auto.best_evaluation().unwrap();
             assert!(
                 a.iteration_time <= r.iteration_time + 1e-12,
                 "{strategy:?} n={n}: auto {} vs ring {}",
@@ -644,11 +409,13 @@ mod tests {
         // nd=256, bm=4).
         let model = txmodel::gpt3_175b().config;
         let sys = b200_nvs8();
-        let mut ring_opts = SearchOptions::new(4096, 1024, TpStrategy::OneD);
-        ring_opts.comm_algo = collectives::Algorithm::Ring;
-        let auto_opts = SearchOptions::new(4096, 1024, TpStrategy::OneD);
-        let ring = optimize(&model, &sys, &ring_opts).unwrap();
-        let auto = optimize(&model, &sys, &auto_opts).unwrap();
+        let auto_planner = planner(&model, &sys, 4096, 1024, TpStrategy::OneD);
+        let ring = auto_planner
+            .clone()
+            .with_space(|s| s.comm_algo(collectives::Algorithm::Ring))
+            .best_evaluation()
+            .unwrap();
+        let auto = auto_planner.best_evaluation().unwrap();
         assert!(auto.iteration_time < ring.iteration_time);
         let tuple = |e: &Evaluation| (e.config.n1, e.config.np, e.config.nd, e.config.microbatch);
         assert_ne!(tuple(&auto), tuple(&ring), "optimum should move");
@@ -659,8 +426,7 @@ mod tests {
     #[test]
     fn moe_enumeration_respects_expert_divisibility() {
         let model = txmodel::moe_1t().config; // 64 experts
-        let opts = SearchOptions::new(256, 4096, TpStrategy::OneD);
-        let parts = enumerate_partitions(&model, &opts);
+        let parts = enumerate_partitions(&model, &space(4096), 256, TpStrategy::OneD);
         assert!(!parts.is_empty());
         let mut eps = std::collections::HashSet::new();
         for p in &parts {
@@ -671,7 +437,7 @@ mod tests {
         // The joint sweep really explores the ep dimension.
         assert!(eps.len() > 2, "only {eps:?}");
         // Dense models never leave ep = 1.
-        let dense = enumerate_partitions(&gpt3_1t().config, &opts);
+        let dense = enumerate_partitions(&gpt3_1t().config, &space(4096), 256, TpStrategy::OneD);
         assert!(dense.iter().all(|p| p.ep == 1));
     }
 
@@ -684,12 +450,9 @@ mod tests {
         // the nd/ep replica group (pinned: n1=1, np=8, nd=64, ep=8).
         let model = txmodel::moe_1t().config;
         let sys = b200_nvs8();
-        let best = optimize(
-            &model,
-            &sys,
-            &SearchOptions::new(512, 4096, TpStrategy::OneD),
-        )
-        .expect("512 B200s can train MoE-1T");
+        let best = planner(&model, &sys, 512, 4096, TpStrategy::OneD)
+            .best_evaluation()
+            .expect("512 B200s can train MoE-1T");
         assert!(best.config.ep > 1, "got {}", best.config);
         assert_eq!(
             (
@@ -711,11 +474,12 @@ mod tests {
         // MoE-1T expert set alone is ~2.2 TB of FP16 weights.
         let model = txmodel::moe_1t().config;
         let sys = b200_nvs8();
-        let joint = SearchOptions::new(512, 4096, TpStrategy::OneD);
-        let mut pinned = joint;
-        pinned.max_expert_parallel = 1;
-        let best = optimize(&model, &sys, &joint).unwrap();
-        let no_ep = optimize(&model, &sys, &pinned).unwrap();
+        let joint = planner(&model, &sys, 512, 4096, TpStrategy::OneD);
+        let best = joint.best_evaluation().unwrap();
+        let no_ep = joint
+            .with_space(|s| s.max_expert_parallel(1))
+            .best_evaluation()
+            .unwrap();
         assert!(
             best.iteration_time < 0.5 * no_ep.iteration_time,
             "joint {} vs ep=1 {}",
@@ -732,8 +496,7 @@ mod tests {
         // choices) × (ep choices), orders of magnitude below the
         // candidate count.
         let model = txmodel::moe_1t().config;
-        let opts = SearchOptions::new(512, 4096, TpStrategy::OneD);
-        let parts = enumerate_partitions(&model, &opts);
+        let parts = enumerate_partitions(&model, &space(4096), 512, TpStrategy::OneD);
         let cache = ProfileCache::build(&model, &b200_nvs8().gpu, &parts);
         assert!(
             cache.len() * 4 < parts.len(),
@@ -751,7 +514,8 @@ mod tests {
         let model = gpt3_1t().config;
         let sys = b200_nvs8();
         let t = |n: u64| {
-            optimize(&model, &sys, &SearchOptions::new(n, 4096, TpStrategy::OneD))
+            planner(&model, &sys, n, 4096, TpStrategy::OneD)
+                .best_evaluation()
                 .unwrap()
                 .iteration_time
         };

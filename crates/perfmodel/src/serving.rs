@@ -655,7 +655,6 @@ pub fn assess_slo(e: &Evaluation, s: &ServingCtx, slo: &SloSpec) -> ServingRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::best_placement_eval;
     use crate::{Planner, TpStrategy};
     use systems::{system, GpuGeneration, NvsSize};
     use txmodel::{gpt3_175b_chat, moe_1t_chat};
@@ -664,7 +663,9 @@ mod tests {
         let preset = gpt3_175b_chat();
         let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
         let cfg = ParallelConfig::new(TpStrategy::OneD, tp, 1, np, nd, 1);
-        let e = best_placement_eval(&preset.model, &cfg, 1024, &sys);
+        let e = Planner::new(&preset.model, &sys)
+            .global_batch(1024)
+            .evaluate_config(&cfg);
         let s = ServingCtx {
             model: preset.model,
             traffic: preset.traffic,
@@ -733,7 +734,9 @@ mod tests {
         let preset = moe_1t_chat();
         let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
         let cfg = ParallelConfig::new(TpStrategy::OneD, 8, 1, 4, 16, 1).with_ep(16);
-        let e = best_placement_eval(&preset.model, &cfg, 1024, &sys);
+        let e = Planner::new(&preset.model, &sys)
+            .global_batch(1024)
+            .evaluate_config(&cfg);
         let profile = build_profile(
             &preset.model,
             cfg.strategy,

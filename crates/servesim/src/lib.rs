@@ -427,8 +427,7 @@ pub fn simulate_serving(spec: &SimSpec, params: &SimParams) -> SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfmodel::search::best_placement_eval;
-    use perfmodel::{ParallelConfig, TpStrategy};
+    use perfmodel::{ParallelConfig, Planner, TpStrategy};
     use systems::{system, GpuGeneration, NvsSize};
     use txmodel::gpt3_175b_chat;
 
@@ -436,7 +435,9 @@ mod tests {
         let preset = gpt3_175b_chat();
         let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
         let cfg = ParallelConfig::new(TpStrategy::OneD, 8, 1, 1, 8, 1);
-        let e = best_placement_eval(&preset.model, &cfg, 1024, &sys);
+        let e = Planner::new(&preset.model, &sys)
+            .global_batch(1024)
+            .evaluate_config(&cfg);
         let s = ServingCtx {
             model: preset.model,
             traffic: preset.traffic,
@@ -499,7 +500,9 @@ mod tests {
             system: sys.clone(),
         };
         let cfg = ParallelConfig::new(TpStrategy::OneD, 8, 1, 1, 8, 1);
-        let e = best_placement_eval(&preset.model, &cfg, 1024, &sys);
+        let e = Planner::new(&preset.model, &sys)
+            .global_batch(1024)
+            .evaluate_config(&cfg);
         assert_eq!(
             SimSpec::from_plan(
                 &e,
@@ -512,7 +515,9 @@ mod tests {
         );
         // tp = 1 cannot hold the weights at all.
         let cfg1 = ParallelConfig::new(TpStrategy::OneD, 1, 1, 1, 8, 1);
-        let e1 = best_placement_eval(&preset.model, &cfg1, 1024, &sys);
+        let e1 = Planner::new(&preset.model, &sys)
+            .global_batch(1024)
+            .evaluate_config(&cfg1);
         assert_eq!(
             SimSpec::from_plan(&e1, &s, PdPlacement::Colocated),
             Err(SimError::Infeasible)

@@ -33,9 +33,8 @@
 //! (no finite band exists for an unstable queue — that is what the flag
 //! means).
 
-use perfmodel::search::best_placement_eval;
 use perfmodel::serving::{assess_mode, PdPlacement, ServingReport};
-use perfmodel::{Evaluation, ParallelConfig, ServingCtx, TpStrategy};
+use perfmodel::{Evaluation, ParallelConfig, Planner, ServingCtx, TpStrategy};
 use servesim::{simulate_serving, SimParams, SimReport, SimSpec};
 use systems::{system, GpuGeneration, NvsSize};
 use txmodel::{gpt3_175b_chat, vit_multimodal_serving, ServingPreset};
@@ -46,7 +45,9 @@ const SEED: u64 = 42;
 fn fixture(preset: &ServingPreset, tp: u64, nd: u64) -> (Evaluation, ServingCtx) {
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     let cfg = ParallelConfig::new(TpStrategy::OneD, tp, 1, 1, nd, 1);
-    let e = best_placement_eval(&preset.model, &cfg, 1024, &sys);
+    let e = Planner::new(&preset.model, &sys)
+        .global_batch(1024)
+        .evaluate_config(&cfg);
     let s = ServingCtx {
         model: preset.model,
         traffic: preset.traffic,

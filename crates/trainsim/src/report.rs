@@ -73,7 +73,7 @@ pub fn compare_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfmodel::TpStrategy;
+    use perfmodel::{Planner, TpStrategy};
     use systems::perlmutter;
     use txmodel::{gpt3_175b, vit_32k};
 
@@ -185,7 +185,9 @@ mod tests {
         let plan = Plan {
             model,
             global_batch: 1024,
-            eval: perfmodel::best_placement_eval(&model, &cfg, 1024, &sys),
+            eval: Planner::new(&model, &sys)
+                .global_batch(1024)
+                .evaluate_config(&cfg),
             scores: Vec::new(),
         };
         let json = serde_json::to_string(&plan).unwrap();

@@ -42,16 +42,15 @@ fn quickstart_path_end_to_end() {
     let days = training_days(&TrainingWorkload::gpt3_1t_pretraining(), &best.eval);
     assert!(days > 1.0 && days < 1000.0, "training days: {days}");
     // The rendered artifact carries both the ranked plans and the
-    // frontier, and the legacy wrapper agrees with the planner's pick.
+    // frontier, and the single-optimum search agrees with the pick.
     let art = plans.to_artifact("smoke", "quickstart");
     assert_eq!(art.rows.len(), plans.top.len() + plans.pareto.len());
-    let legacy = optimize(
-        &model.config,
-        &sys,
-        &SearchOptions::default().gpus(1024).global_batch(4096),
-    )
-    .unwrap();
-    assert_eq!(legacy.iteration_time, best.eval.iteration_time);
+    let single = Planner::new(&model.config, &sys)
+        .gpus(1024)
+        .global_batch(4096)
+        .best_evaluation()
+        .unwrap();
+    assert_eq!(single.iteration_time, best.eval.iteration_time);
 }
 
 /// `examples/llm_pretrain_planner.rs`: days-ranked plan per system.
@@ -158,17 +157,17 @@ fn system_codesign_path() {
     assert!(gpu_s(frugal.best().unwrap()) <= gpu_s(fastest.best().unwrap()));
 }
 
-/// `examples/hardware_sensitivity.rs`: elasticities over the named-builder
-/// options.
+/// `examples/hardware_sensitivity.rs`: elasticities over a named-builder
+/// search space.
 #[test]
 fn hardware_sensitivity_path() {
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
-    let opts = SearchOptions::default()
+    let space = SearchSpace::new()
         .gpus(256)
         .global_batch(4096)
         .strategy(TpStrategy::OneD);
     let es =
-        perfmodel::elasticities(&gpt3_1t().config, &sys, &opts, 0.25).expect("baseline feasible");
+        perfmodel::elasticities(&gpt3_1t().config, &sys, &space, 0.25).expect("baseline feasible");
     assert_eq!(es.len(), perfmodel::HardwareAxis::ALL.len());
     let flops = es
         .iter()

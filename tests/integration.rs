@@ -6,16 +6,27 @@ use fmperf::prelude::*;
 use netsim::{simulate_collective, SimOptions};
 use trainsim::{compare, simulate_iteration, SimParams};
 
+/// The fastest feasible configuration of a single-scale, single-strategy
+/// space.
+fn best(
+    model: &TransformerConfig,
+    sys: &SystemSpec,
+    gpus: u64,
+    global_batch: u64,
+    strategy: TpStrategy,
+) -> Option<Evaluation> {
+    Planner::new(model, sys)
+        .gpus(gpus)
+        .global_batch(global_batch)
+        .strategy(strategy)
+        .best_evaluation()
+}
+
 #[test]
 fn end_to_end_gpt_plan_is_consistent() {
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     let model = gpt3_1t().config;
-    let best = optimize(
-        &model,
-        &sys,
-        &SearchOptions::new(2048, 4096, TpStrategy::OneD),
-    )
-    .expect("feasible");
+    let best = best(&model, &sys, 2048, 4096, TpStrategy::OneD).expect("feasible");
     // Re-evaluating the returned configuration + placement must give the
     // same numbers (the search reports real evaluations).
     let re = evaluate(&model, &best.config, &best.placement, 4096, &sys);
@@ -30,13 +41,15 @@ fn search_beats_every_handpicked_config() {
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     let model = gpt3_1t().config;
     let n = 1024;
-    let best = optimize(&model, &sys, &SearchOptions::new(n, 4096, TpStrategy::OneD)).unwrap();
+    let best = best(&model, &sys, n, 4096, TpStrategy::OneD).unwrap();
     for (n1, np, nd) in [(8, 16, 8), (4, 32, 8), (16, 64, 1), (2, 128, 4)] {
         let cfg = ParallelConfig::new(TpStrategy::OneD, n1, 1, np, nd, 1);
         if cfg.validate(&model, 4096).is_err() {
             continue;
         }
-        let e = best_placement_eval(&model, &cfg, 4096, &sys);
+        let e = Planner::new(&model, &sys)
+            .global_batch(4096)
+            .evaluate_config(&cfg);
         if e.feasible {
             assert!(
                 best.iteration_time <= e.iteration_time + 1e-12,
@@ -182,24 +195,12 @@ fn paper_contrast_llm_vs_sciml() {
     // The paper's headline contrast, end to end: the LLM works with 1D TP
     // + pipelining; the long-sequence ViT needs 2D TP and rejects 1D.
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
-    let gpt = optimize(
-        &gpt3_1t().config,
-        &sys,
-        &SearchOptions::new(4096, 4096, TpStrategy::OneD),
-    );
+    let gpt = best(&gpt3_1t().config, &sys, 4096, 4096, TpStrategy::OneD);
     assert!(gpt.is_some());
-    let vit_1d = optimize(
-        &vit_64k().config,
-        &sys,
-        &SearchOptions::new(4096, 4096, TpStrategy::OneD),
-    );
+    let vit_1d = best(&vit_64k().config, &sys, 4096, 4096, TpStrategy::OneD);
     assert!(vit_1d.is_none());
-    let vit_2d = optimize(
-        &vit_64k().config,
-        &sys,
-        &SearchOptions::new(4096, 4096, TpStrategy::TwoD),
-    )
-    .expect("2D TP trains the ViT");
+    let vit_2d =
+        best(&vit_64k().config, &sys, 4096, 4096, TpStrategy::TwoD).expect("2D TP trains the ViT");
     assert!(vit_2d.config.n2 >= 2);
     // ViT pins HBM; GPT at this scale does not.
     assert!(vit_2d.memory.total_gb() > gpt.unwrap().memory.total_gb());
@@ -208,12 +209,7 @@ fn paper_contrast_llm_vs_sciml() {
 #[test]
 fn training_days_compose_with_workloads() {
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
-    let best = optimize(
-        &gpt3_1t().config,
-        &sys,
-        &SearchOptions::new(16384, 4096, TpStrategy::OneD),
-    )
-    .unwrap();
+    let best = best(&gpt3_1t().config, &sys, 16384, 4096, TpStrategy::OneD).unwrap();
     let days = training_days(&TrainingWorkload::gpt3_1t_pretraining(), &best);
     // Paper Fig. 5a: O(3–5) days on 16K B200.
     assert!(days > 2.0 && days < 8.0, "got {days}");
@@ -253,12 +249,7 @@ fn moe_pipeline_end_to_end() {
     // cross-check on the returned optimum.
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     let model = moe_1t().config;
-    let best = optimize(
-        &model,
-        &sys,
-        &SearchOptions::new(512, 4096, TpStrategy::OneD),
-    )
-    .expect("feasible");
+    let best = best(&model, &sys, 512, 4096, TpStrategy::OneD).expect("feasible");
     assert!(
         best.config.ep > 1,
         "expected expert parallelism: {}",
@@ -288,12 +279,15 @@ fn joint_search_skips_unsupported_simulator_configs() {
     // execute; they must surface as skippable typed errors, not crashes.
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     let model = gpt3_1t().config;
-    let mut opts = SearchOptions::new(512, 4096, TpStrategy::OneD);
-    opts.max_interleave = 2;
-    opts.allow_zero3 = true;
+    let planner = Planner::new(&model, &sys)
+        .gpus(512)
+        .global_batch(4096)
+        .strategy(TpStrategy::OneD)
+        .with_space(|s| s.max_interleave(2).allow_zero3(true));
     let mut skipped = 0;
     let mut checked = 0;
-    for cfg in perfmodel::enumerate_partitions(&model, &opts)
+    for cfg in planner
+        .candidates()
         .into_iter()
         .filter(|c| c.np <= 8)
         .take(24)
@@ -327,7 +321,9 @@ fn placement_search_improves_on_trivial_placement() {
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     let model = gpt3_1t().config;
     let cfg = ParallelConfig::new(TpStrategy::OneD, 8, 1, 64, 32, 1);
-    let best = best_placement_eval(&model, &cfg, 4096, &sys);
+    let best = Planner::new(&model, &sys)
+        .global_batch(4096)
+        .evaluate_config(&cfg);
     let trivial = evaluate(
         &model,
         &cfg,

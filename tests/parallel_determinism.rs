@@ -4,7 +4,6 @@
 //! the sequential iterator chains it replaced.
 
 use fmperf::prelude::*;
-use perfmodel::sweep_partitions;
 use proptest::prelude::*;
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -13,14 +12,34 @@ fn pool(n: usize) -> rayon::ThreadPool {
     ThreadPoolBuilder::new().num_threads(n).build().unwrap()
 }
 
+fn planner<'a>(
+    model: &'a TransformerConfig,
+    sys: &'a SystemSpec,
+    gpus: u64,
+    strategy: TpStrategy,
+) -> Planner<'a> {
+    Planner::new(model, sys)
+        .gpus(gpus)
+        .global_batch(4096)
+        .strategy(strategy)
+}
+
+/// The full sweep, infeasible candidates included, stably sorted fastest
+/// first.
+fn sorted_sweep(planner: &Planner) -> Vec<Evaluation> {
+    let mut evals = planner.clone().include_infeasible(true).evaluations();
+    evals.sort_by(|a, b| perfmodel::ord::time_cmp(a.iteration_time, b.iteration_time));
+    evals
+}
+
 #[test]
 fn sweep_is_bit_identical_from_one_to_many_threads() {
     let model = gpt3_1t().config;
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     for strategy in [TpStrategy::OneD, TpStrategy::TwoD] {
-        let opts = SearchOptions::new(256, 4096, strategy);
-        let seq = pool(1).install(|| sweep_partitions(&model, &sys, &opts));
-        let par = pool(8).install(|| sweep_partitions(&model, &sys, &opts));
+        let p = planner(&model, &sys, 256, strategy);
+        let seq = pool(1).install(|| sorted_sweep(&p));
+        let par = pool(8).install(|| sorted_sweep(&p));
         assert_eq!(par.len(), seq.len());
         for (a, b) in par.iter().zip(&seq) {
             assert_eq!(a.config, b.config, "{strategy:?}: ordering diverged");
@@ -39,9 +58,9 @@ fn sweep_is_bit_identical_from_one_to_many_threads() {
 fn optimize_is_bit_identical_from_one_to_many_threads() {
     let model = vit_64k().config;
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
-    let opts = SearchOptions::new(512, 4096, TpStrategy::TwoD);
-    let seq = pool(1).install(|| optimize(&model, &sys, &opts)).unwrap();
-    let par = pool(8).install(|| optimize(&model, &sys, &opts)).unwrap();
+    let p = planner(&model, &sys, 512, TpStrategy::TwoD);
+    let seq = pool(1).install(|| p.best_evaluation()).unwrap();
+    let par = pool(8).install(|| p.best_evaluation()).unwrap();
     assert_eq!(seq.iteration_time.to_bits(), par.iteration_time.to_bits());
     assert_eq!(seq, par);
 }

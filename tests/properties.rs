@@ -66,7 +66,7 @@ proptest! {
         let cfg = ParallelConfig::new(TpStrategy::OneD, n1, 1, np, nd, bm);
         prop_assume!(cfg.validate(&model, 4096).is_ok());
         let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
-        let e = best_placement_eval(&model, &cfg, 4096, &sys);
+        let e = Planner::new(&model, &sys).global_batch(4096).evaluate_config(&cfg);
         let b = e.breakdown;
         for part in [b.compute, b.memory, b.tp_comm, b.pp_bubble, b.dp_comm, b.pp_comm] {
             prop_assert!(part >= 0.0);
@@ -88,7 +88,7 @@ proptest! {
         let mk = |n1: u64, bm: u64| {
             let cfg = ParallelConfig::new(TpStrategy::OneD, n1, 1, 8, 16, bm);
             cfg.validate(&model, 4096).ok()?;
-            Some(best_placement_eval(&model, &cfg, 4096, &sys).memory)
+            Some(Planner::new(&model, &sys).global_batch(4096).evaluate_config(&cfg).memory)
         };
         if let (Some(a), Some(b)) = (mk(n1, bm), mk(n1, bm * 2)) {
             prop_assert!(b.activations >= a.activations);
@@ -382,7 +382,7 @@ proptest! {
         let cfg = ParallelConfig::new(TpStrategy::OneD, 8, 1, 1, 64, 2);
         let report = |spec: ReliabilitySpec| {
             let sys = system(GpuGeneration::B200, NvsSize::Nvs8).with_reliability(spec);
-            let e = best_placement_eval(&model, &cfg, 512, &sys);
+            let e = Planner::new(&model, &sys).global_batch(512).evaluate_config(&cfg);
             let ctx = Planner::new(&model, &sys).global_batch(512).objective_ctx();
             assess(&e, &ctx)
         };

@@ -1,7 +1,8 @@
-//! Cross-crate guarantee for the pruned search paths: branch-and-bound
-//! and dominated-candidate elimination are *exact* optimizations.
-//! `optimize` with both prune flags on must return the bit-identical
-//! `Evaluation` that the unpruned path and the full sweep return, and
+//! Cross-crate guarantee for the pruned search engine: the ranked
+//! branch-and-bound is an *exact* optimization.
+//! `Planner::best_evaluation` with both prune flags on must return the
+//! bit-identical `Evaluation` that the unpruned path and the full sweep
+//! return, and
 //! `Planner::execute` with the ranked k-th-incumbent + Pareto prune on
 //! must return the bit-identical `PlanSet` (top-k ranking, Pareto
 //! frontier, counts, every score, compared both structurally and as an
@@ -17,7 +18,6 @@
 //! rather than absolute values.
 
 use fmperf::prelude::*;
-use perfmodel::sweep_partitions;
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 use systems::SystemSpec;
@@ -31,21 +31,32 @@ fn pool(n: usize) -> rayon::ThreadPool {
     ThreadPoolBuilder::new().num_threads(n).build().unwrap()
 }
 
-/// `optimize` three ways: prunes on (default), prunes off, and the full
-/// sorted sweep's first feasible entry. All three must agree bit for bit.
-fn assert_exact(model: &TransformerConfig, sys: &SystemSpec, opts: &SearchOptions) {
-    let pruned = optimize(model, sys, opts);
-    let unpruned = optimize(
-        model,
-        sys,
-        &(*opts).branch_and_bound(false).prune_dominated(false),
-    );
-    // sweep_partitions sorts stably by iteration time, so its first
-    // feasible entry is the first-in-enumeration-order minimum — the
-    // exact candidate `optimize` pins.
-    let from_sweep = sweep_partitions(model, sys, opts)
-        .into_iter()
-        .find(|e| e.feasible);
+/// A single-scale, single-strategy search space.
+fn space(gpus: u64, global_batch: u64, strategy: TpStrategy) -> SearchSpace {
+    SearchSpace::new()
+        .gpus(gpus)
+        .global_batch(global_batch)
+        .strategy(strategy)
+}
+
+/// `best_evaluation` three ways: prunes on (default), prunes off, and the
+/// full sorted sweep's first feasible entry. All three must agree bit for
+/// bit.
+fn assert_exact(model: &TransformerConfig, sys: &SystemSpec, space: &SearchSpace) {
+    let planner = Planner::new(model, sys).space(space.clone());
+    let pruned = planner.best_evaluation();
+    let unpruned = planner
+        .clone()
+        .branch_and_bound(false)
+        .prune_dominated(false)
+        .best_evaluation();
+    // A stable sort by iteration time keeps enumeration order among
+    // ties, so the sweep's first feasible entry is the
+    // first-in-enumeration-order minimum — the exact candidate
+    // `best_evaluation` pins.
+    let mut sweep = planner.include_infeasible(true).evaluations();
+    sweep.sort_by(|a, b| perfmodel::ord::time_cmp(a.iteration_time, b.iteration_time));
+    let from_sweep = sweep.into_iter().find(|e| e.feasible);
     match (&pruned, &unpruned, &from_sweep) {
         (Some(p), Some(u), Some(s)) => {
             assert_eq!(
@@ -55,7 +66,10 @@ fn assert_exact(model: &TransformerConfig, sys: &SystemSpec, opts: &SearchOption
                 p.config
             );
             assert_eq!(p, u, "pruned vs unpruned Evaluation diverged");
-            assert_eq!(p, s, "pruned optimize vs sweep first-feasible diverged");
+            assert_eq!(
+                p, s,
+                "pruned best_evaluation vs sweep first-feasible diverged"
+            );
         }
         (None, None, None) => {}
         _ => panic!(
@@ -77,33 +91,33 @@ fn prunes_are_exact_on_paper_presets() {
         (gpt3_1t().config, 256, 4096, TpStrategy::OneD),
     ];
     for (model, gpus, gb, strategy) in &presets {
-        let opts = SearchOptions::new(*gpus, *gb, *strategy);
-        assert_exact(model, &sys, &opts);
+        assert_exact(model, &sys, &space(*gpus, *gb, *strategy));
     }
 }
 
 #[test]
 fn prunes_are_exact_with_interleave_and_zero3() {
-    // Exercises the structural np = 1 / interleave > 1 dominance rule and
-    // the ZeRO-3 axis that doubles every candidate.
+    // Exercises the np = 1 / interleave > 1 timing twins and the ZeRO-3
+    // axis that doubles every candidate.
     let sys = b200_nvs8();
-    let opts = SearchOptions::new(256, 2048, TpStrategy::OneD)
+    let s = space(256, 2048, TpStrategy::OneD)
         .max_interleave(4)
         .allow_zero3(true);
-    assert_exact(&gpt3_175b().config, &sys, &opts);
+    assert_exact(&gpt3_175b().config, &sys, &s);
 }
 
 #[test]
 fn prunes_are_exact_across_thread_counts() {
-    // The atomic-incumbent race must never change the selected optimum.
+    // The shared-threshold race must never change the selected optimum.
     let model = vit_64k().config;
     let sys = b200_nvs8();
-    let opts = SearchOptions::new(256, 4096, TpStrategy::Summa);
-    let seq = pool(1).install(|| optimize(&model, &sys, &opts)).unwrap();
-    let par = pool(8).install(|| optimize(&model, &sys, &opts)).unwrap();
+    let s = space(256, 4096, TpStrategy::Summa);
+    let planner = Planner::new(&model, &sys).space(s.clone());
+    let seq = pool(1).install(|| planner.best_evaluation()).unwrap();
+    let par = pool(8).install(|| planner.best_evaluation()).unwrap();
     assert_eq!(seq.iteration_time.to_bits(), par.iteration_time.to_bits());
     assert_eq!(seq, par);
-    assert_exact(&model, &sys, &opts);
+    assert_exact(&model, &sys, &s);
 }
 
 #[test]
@@ -113,11 +127,11 @@ fn shared_memo_serves_fresh_worker_threads() {
     // L1 memos start empty, so their hits must come from the shared L2.
     let model = vit_64k().config;
     let sys = b200_nvs8();
-    let opts = SearchOptions::new(256, 4096, TpStrategy::Summa);
-    let warm = optimize(&model, &sys, &opts).unwrap();
+    let planner = Planner::new(&model, &sys).space(space(256, 4096, TpStrategy::Summa));
+    let warm = planner.best_evaluation().unwrap();
 
     let before = search_stats();
-    let par = pool(8).install(|| optimize(&model, &sys, &opts)).unwrap();
+    let par = pool(8).install(|| planner.best_evaluation()).unwrap();
     let after = search_stats();
     assert_eq!(warm, par);
     assert!(
@@ -128,34 +142,26 @@ fn shared_memo_serves_fresh_worker_threads() {
 
 #[test]
 fn prune_counters_observe_skipped_candidates() {
-    // The pruned path must actually skip work on a space large enough to
-    // have provably-dominated and bound-pruned candidates, and the
-    // skip counters must say so.
+    // The pruned search must actually skip work on a space large enough
+    // to have bound-pruned candidates, and the skip counters (the tail
+    // cut's `bound_pruned`, the per-candidate `topk_pruned`) must say so.
     let model = gpt3_1t().config;
     let sys = b200_nvs8();
-    let opts = SearchOptions::default()
-        .gpus(1024)
-        .global_batch(4096)
-        .strategy(TpStrategy::Summa);
+    let planner = Planner::new(&model, &sys).space(space(1024, 4096, TpStrategy::Summa));
     let before = search_stats();
-    let _ = optimize(&model, &sys, &opts).unwrap();
+    let _ = planner.best_evaluation().unwrap();
     let after = search_stats();
     assert!(
-        after.dominated_pruned > before.dominated_pruned,
-        "seed-based elimination should drop candidates: {before:?} -> {after:?}"
-    );
-    assert!(
-        after.bound_pruned + after.dominated_pruned
-            > before.bound_pruned + before.dominated_pruned + 10,
-        "prunes should skip a nontrivial share of the space"
+        after.bound_pruned + after.topk_pruned > before.bound_pruned + before.topk_pruned + 10,
+        "prunes should skip a nontrivial share of the space: {before:?} -> {after:?}"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random small spaces: pruned and unpruned optimize agree bit for
-    /// bit with the sweep for arbitrary knob combinations.
+    /// Random small spaces: pruned and unpruned best_evaluation agree bit
+    /// for bit with the sweep for arbitrary knob combinations.
     #[test]
     fn prunes_are_exact_on_random_spaces(
         gpus_idx in 0usize..3,
@@ -171,10 +177,10 @@ proptest! {
         let allow_zero3 = zero3_idx == 1;
         let model = gpt3_175b().config;
         let sys = b200_nvs8();
-        let opts = SearchOptions::new(gpus, gb, strategy)
+        let s = space(gpus, gb, strategy)
             .max_interleave(max_interleave)
             .allow_zero3(allow_zero3);
-        assert_exact(&model, &sys, &opts);
+        assert_exact(&model, &sys, &s);
     }
 }
 

@@ -1,14 +1,15 @@
-//! Deprecate-by-wrapper guarantee: `optimize` and `sweep_partitions` are
-//! now thin wrappers over the `Planner`, and their outputs are pinned
-//! **bit-identical** to the pre-refactor implementation. The constants
-//! below were captured from the free-function code paths immediately
-//! before the planner landed (commit c598d8d's `evaluate_candidates`) on
-//! the GPT3-175B, MoE-1T and ViT-SUMMA presets — any drift in the
-//! wrapper path, enumeration order, pruning or placement selection shows
-//! up as a bit mismatch here.
+//! Bit pins on the planner's single-optimum and full-sweep outputs:
+//! `Planner::best_evaluation` and `Planner::evaluations` (stably sorted
+//! by iteration time) are pinned **bit-identical** to the original
+//! free-function search. The constants below were captured from those
+//! code paths immediately before the planner landed (commit c598d8d's
+//! `evaluate_candidates`) on the GPT3-175B, MoE-1T and ViT-SUMMA presets,
+//! and have held through every search-engine change since — any drift
+//! in enumeration order, pruning or placement selection shows up as a
+//! bit mismatch here. (The test names keep the original wrapper names
+//! so the pins' history stays traceable.)
 
 use fmperf::prelude::*;
-use perfmodel::sweep_partitions;
 
 struct Pin {
     name: &'static str,
@@ -16,12 +17,12 @@ struct Pin {
     gpus: u64,
     global_batch: u64,
     strategy: TpStrategy,
-    // optimize(): selected configuration + exact result bits.
+    // best_evaluation(): selected configuration + exact result bits.
     config: (u64, u64, u64, u64, u64, u64), // (n1, n2, np, nd, ep, bm)
     placement: (u64, u64, u64, u64),        // (v1, v2, vp, vd)
     iter_time_bits: u64,
     memory_total_bits: u64,
-    // sweep_partitions(): size, fastest entry, FNV fold of every entry.
+    // Sorted full sweep: size, fastest entry, FNV fold of every entry.
     sweep_len: usize,
     sweep_first_bits: u64,
     sweep_fold: u64,
@@ -74,18 +75,26 @@ fn pins() -> Vec<Pin> {
     ]
 }
 
-fn opts(p: &Pin) -> SearchOptions {
-    SearchOptions::default()
+fn planner<'a>(p: &'a Pin, sys: &'a SystemSpec) -> Planner<'a> {
+    Planner::new(&p.model, sys)
         .gpus(p.gpus)
         .global_batch(p.global_batch)
         .strategy(p.strategy)
+}
+
+/// Every candidate, infeasible ones included, stably sorted fastest
+/// first (equal times keep enumeration order).
+fn sorted_sweep(p: &Pin, sys: &SystemSpec) -> Vec<Evaluation> {
+    let mut evals = planner(p, sys).include_infeasible(true).evaluations();
+    evals.sort_by(|a, b| perfmodel::ord::time_cmp(a.iteration_time, b.iteration_time));
+    evals
 }
 
 #[test]
 fn optimize_wrapper_is_bit_identical_to_pre_refactor() {
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     for p in pins() {
-        let e = optimize(&p.model, &sys, &opts(&p)).expect(p.name);
+        let e = planner(&p, &sys).best_evaluation().expect(p.name);
         let c = &e.config;
         assert_eq!(
             (c.n1, c.n2, c.np, c.nd, c.ep, c.microbatch),
@@ -116,7 +125,7 @@ fn optimize_wrapper_is_bit_identical_to_pre_refactor() {
 fn sweep_wrapper_is_bit_identical_to_pre_refactor() {
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     for p in pins() {
-        let sweep = sweep_partitions(&p.model, &sys, &opts(&p));
+        let sweep = sorted_sweep(&p, &sys);
         assert_eq!(sweep.len(), p.sweep_len, "{}: candidate count", p.name);
         assert_eq!(
             sweep[0].iteration_time.to_bits(),
@@ -132,16 +141,4 @@ fn sweep_wrapper_is_bit_identical_to_pre_refactor() {
         });
         assert_eq!(fold, p.sweep_fold, "{}: sweep fold drifted", p.name);
     }
-}
-
-#[test]
-fn positional_shim_matches_named_builders() {
-    // The #[doc(hidden)] compatibility constructor must stay exactly
-    // equivalent to the named-builder form.
-    let old = SearchOptions::new(512, 1024, TpStrategy::TwoD);
-    let new = SearchOptions::default()
-        .gpus(512)
-        .global_batch(1024)
-        .strategy(TpStrategy::TwoD);
-    assert_eq!(old, new);
 }
