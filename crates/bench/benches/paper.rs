@@ -31,6 +31,11 @@
 //! machine-readable; pass `--quick` for a short CI smoke run that skips
 //! the artifact-regeneration preamble.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a timing harness: it measures wall clock by design"
+)]
+
 use criterion::{criterion_group, Criterion};
 use perfmodel::partition::build_profile;
 use perfmodel::{ParallelConfig, Placement, Planner, TpStrategy};

@@ -90,8 +90,11 @@ fn cross_validate(spec: ReliabilitySpec, horizon_s: f64, seed: u64) -> (f64, f64
         r.checkpoint_time,
         sys.reliability.restart_overhead_s,
     );
+    #[expect(
+        clippy::expect_used,
+        reason = "pinned §IV validation config; the 1F1B schedule supports it by construction"
+    )]
     let rep = simulate_training(&model, &cfg, &pl, BATCH, &sys, &plan, &params)
-        // fmlint::allow(panic-in-lib, reason = "pinned §IV validation config; the 1F1B schedule supports it by construction")
         .expect("the validated 512-GPU configuration runs the plain 1F1B schedule");
     (
         analytic,
@@ -158,7 +161,10 @@ pub fn generate_planner() -> Artifact {
         ("ExpectedGoodput", Objective::ExpectedGoodput),
     ] {
         let plans = planner.clone().objective(obj).execute();
-        // fmlint::allow(panic-in-lib, reason = "the pinned 4096-GPU search space always admits the trivial plan")
+        #[expect(
+            clippy::expect_used,
+            reason = "the pinned 4096-GPU search space always admits the trivial plan"
+        )]
         let best = plans.best().expect("the 4096-GPU space is non-empty");
         let e = &best.eval;
         let r = perfmodel::reliability::assess(e, &ctx);

@@ -147,6 +147,10 @@ pub fn figures_main() {
         args.iter().map(String::as_str).collect()
     };
     for id in ids {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "progress timer printed to stderr; never written to an artifact"
+        )]
         let t0 = std::time::Instant::now();
         let arts = match generate(id) {
             Ok(arts) => arts,

@@ -76,8 +76,11 @@ fn ring_path(n: u64, origin: u64, hops: u64) -> Vec<u32> {
 /// module only emit acyclic dependency graphs, so a stall here is an
 /// engine or builder bug, not a scenario — externally-scripted flow sets
 /// go through the fallible engine entry instead.
+#[expect(
+    clippy::expect_used,
+    reason = "builder schedules are acyclic by construction; a stall is an engine bug, per the doc above"
+)]
 fn run(topo: &Topology, flows: &[Flow], pieces: u64) -> SimResult {
-    // fmlint::allow(panic-in-lib, reason = "builder schedules are acyclic by construction; a stall is an engine bug, per the doc above")
     simulate_flows(topo, flows, pieces).expect("builder schedules are acyclic")
 }
 
@@ -120,7 +123,10 @@ fn tree_allreduce(
     // children[r] lists the ranks whose parent is r.
     let mut children: Vec<Vec<u64>> = vec![Vec::new(); n as usize];
     for r in 1..n {
-        // fmlint::allow(panic-in-lib, reason = "r ranges over 1..n, and parent() is None only for rank 0")
+        #[expect(
+            clippy::expect_used,
+            reason = "r ranges over 1..n, and parent() is None only for rank 0"
+        )]
         children[tree.parent(r).expect("non-root") as usize].push(r);
     }
     // Flow r − 1 rides edge r − 1 (rank r ↔ its parent) in both phases.
@@ -376,11 +382,15 @@ fn simulate_impl(
                 );
                 let tree = tree_allreduce(group, sys, volume, opts.pieces, derate);
                 let hier = hierarchical_allreduce(group, sys, volume, opts.pieces, derate);
-                [ring, tree, hier]
-                    .into_iter()
-                    .min_by(|a, b| a.time.total_cmp(&b.time))
-                    // fmlint::allow(panic-in-lib, reason = "min_by over a non-empty array literal is always Some")
-                    .expect("three candidates")
+                // Strict `is_lt` keeps the first minimum on ties, in
+                // ring, tree, hierarchical order.
+                [tree, hier].into_iter().fold(ring, |best, c| {
+                    if c.time.total_cmp(&best.time).is_lt() {
+                        c
+                    } else {
+                        best
+                    }
+                })
             }
         };
     }

@@ -15,6 +15,11 @@
 //! cargo run --release -p perfmodel --example search_stats
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a timing harness: it prints per-phase wall clock"
+)]
+
 use perfmodel::{reset_search_stats, search_stats, Planner, TpStrategy};
 use std::time::Instant;
 use systems::{system, GpuGeneration, NvsSize};

@@ -2,7 +2,8 @@
 //!
 //! Every ranking, tie-break and incumbent update in the search goes
 //! through these helpers so NaN and infinite values behave *one* way
-//! everywhere (fmlint's `partial-cmp-unwrap` lint points here):
+//! everywhere (use them instead of `partial_cmp().unwrap()`, which the
+//! workspace's `clippy::unwrap_used` gate rejects in library code):
 //!
 //! * Ordering is [`f64::total_cmp`]: `-inf < finite < +inf < NaN`. A NaN
 //!   candidate time therefore never wins a minimization, and a NaN

@@ -1,7 +1,7 @@
 //! Shared machinery for the per-strategy layer builders.
 
 use crate::plan::{CommPattern, LayerProfile, TpGroup};
-use crate::timing::{op_time, ComputeUnit, OpTime};
+use crate::timing::{op_time, ComputeUnit};
 use collectives::Collective;
 use systems::GpuSpec;
 use txmodel::{vector_op, MatmulShape, OpCost, VectorOpKind, BYTES_PER_ELEM};
@@ -161,7 +161,10 @@ impl<'a> LayerBuilder<'a> {
     /// dimension (panelled). `vol_a`/`vol_b` are total received bytes per
     /// GPU for the A row-panel (over `group_a`) and B column-panel (over
     /// `group_b`).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a SUMMA GEMM is defined by its shape, panel count, two volumes and two groups"
+    )]
     pub fn summa_gemm(
         &mut self,
         m_loc: u64,
@@ -241,10 +244,9 @@ impl<'a> LayerBuilder<'a> {
         self.profile
     }
 
-    /// Read-only access to the accumulated forward time (used by tests
-    /// and downstream diagnostics).
-    #[allow(dead_code)]
-    pub fn fwd_time(&self) -> OpTime {
+    /// Read-only access to the accumulated forward time.
+    #[cfg(test)]
+    pub fn fwd_time(&self) -> crate::timing::OpTime {
         self.profile.fwd.time
     }
 }

@@ -160,9 +160,12 @@ pub(crate) fn best_placement_with_memory(
             best_t = t;
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "enumerate_placements always yields the trivial placement, so index 0 exists"
+    )]
     let winner = placements
         .get(best)
-        // fmlint::allow(panic-in-lib, reason = "enumerate_placements always yields the trivial placement, so index 0 exists")
         .expect("at least the trivial placement exists");
     evaluate_placement(profile, model, cfg, winner, global_batch, sys, memory)
 }
@@ -232,7 +235,7 @@ mod tests {
     fn summa_enumerates_panel_counts() {
         let model = gpt3_1t().config;
         let parts = enumerate_partitions(&model, &space(4096), 64, TpStrategy::Summa);
-        let nbs: std::collections::HashSet<u64> = parts.iter().map(|p| p.summa_panels).collect();
+        let nbs: std::collections::BTreeSet<u64> = parts.iter().map(|p| p.summa_panels).collect();
         assert!(nbs.contains(&1) && nbs.contains(&16));
     }
 
@@ -428,7 +431,7 @@ mod tests {
         let model = txmodel::moe_1t().config; // 64 experts
         let parts = enumerate_partitions(&model, &space(4096), 256, TpStrategy::OneD);
         assert!(!parts.is_empty());
-        let mut eps = std::collections::HashSet::new();
+        let mut eps = std::collections::BTreeSet::new();
         for p in &parts {
             assert_eq!(p.nd % p.ep, 0, "{p}");
             assert_eq!(64 % p.ep, 0, "{p}");

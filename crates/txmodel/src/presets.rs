@@ -129,7 +129,7 @@ mod tests {
             gpt3_175b_moe().name,
             vit_multimodal().name,
         ];
-        let set: std::collections::HashSet<_> = names.iter().collect();
+        let set: std::collections::BTreeSet<_> = names.iter().collect();
         assert_eq!(set.len(), names.len());
     }
 
