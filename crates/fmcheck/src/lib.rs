@@ -4,7 +4,7 @@
 //! artifacts stay bit-identical at any thread count.
 //!
 //! A miniature loom/shuttle-style model checker: protocol models of the
-//! real concurrent code (the L2 memo shard insert race, the
+//! real concurrent code (the pricing-memo shard insert race, the
 //! branch-and-bound CAS incumbent loop, the rayon-pool chunk claim)
 //! explored under an exhaustive DFS scheduler with a seeded random-walk
 //! fallback, asserting schedule-independence of every result. See

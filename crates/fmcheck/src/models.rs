@@ -4,7 +4,7 @@
 //!
 //! | Model | Real code | Claim |
 //! |-------|-----------|-------|
-//! | [`ShardedMemo`] | `perfmodel::partition::cache::memo_f64` (L2 shard insert race) | racing first-computes of a *pure* function publish bit-identical values; no lost insert; every caller returns the same bits |
+//! | [`ShardedMemo`] | `perfmodel::partition::cache::memo_f64` (shard insert race of the one-level pricing memo) | racing first-computes of a *pure* function publish bit-identical values; no lost insert; every caller returns the same bits |
 //! | [`CasIncumbent`] | `perfmodel::ord::publish_min` (the `AtomicU64` CAS loop lowering `TopkIncumbent`'s threshold and best-key cells) | incumbent is monotone non-increasing and ends at the sequential minimum on every schedule; admissible-bound pruning never loses the optimum |
 //! | [`TopkIncumbent`] | `perfmodel::ord::TopkIncumbent` (ranked-path k-th-best threshold: mutex k-set + CAS-published threshold, relaxed readers) | threshold is monotone non-increasing, never below the true k-th-best key, and ends at the k-th-best published key; k-th-incumbent pruning never drops a true top-k candidate |
 //! | [`ChunkClaim`] | `vendor/rayon` chunk claim/steal (`fetch_add` self-scheduling) | every chunk is claimed exactly once, all slots are filled, and the reassembled output is input-ordered regardless of interleaving |
@@ -29,7 +29,7 @@ use crate::sched::Model;
 const PURE_VALUE: u64 = 0x1234_5678;
 
 // ---------------------------------------------------------------------------
-// L2 sharded memo: racing first-computes
+// Sharded pricing memo: racing first-computes
 // ---------------------------------------------------------------------------
 
 /// Per-thread program counter for [`ShardedMemo`].
@@ -45,7 +45,7 @@ enum MemoPc {
     Done,
 }
 
-/// Model of `memo_f64`'s shared-L2 protocol for one key on one shard:
+/// Model of `memo_f64`'s shared-table protocol for one key on one shard:
 /// probe under the read lock; on miss, compute outside any lock, then
 /// insert under the write lock (last write wins). Mirrors
 /// `crates/perfmodel/src/partition/cache.rs`.

@@ -4,9 +4,9 @@
 //!
 //! Runs the pruned `Planner::best_evaluation` search and the unpruned
 //! full sweep back-to-back and prints per-phase wall clock next to the
-//! [`perfmodel::search_stats`] deltas: memo hits split by level
-//! (thread-local L1 vs the process-wide shared table), profile rebuild
-//! counts and time, and how many candidates the ranked branch-and-bound
+//! [`perfmodel::search_stats`] deltas: pricing-memo probes, hits,
+//! misses and hit ratio, profile rebuild counts and time, and how many
+//! candidates the ranked branch-and-bound
 //! skipped — by its seeded tail cut (`bound_pruned`) and by its
 //! per-candidate prune (`topk_pruned`). See `PERFORMANCE.md` for how
 //! these numbers feed the perf methodology.
@@ -20,7 +20,7 @@
     reason = "a timing harness: it prints per-phase wall clock"
 )]
 
-use perfmodel::{reset_search_stats, search_stats, Planner, TpStrategy};
+use perfmodel::{reset_search_stats, search_stats, Planner, SearchStats, TpStrategy};
 use std::time::Instant;
 use systems::{system, GpuGeneration, NvsSize};
 use txmodel::gpt3_1t;
@@ -58,10 +58,7 @@ fn main() {
         s.profile_builds,
         std::time::Duration::from_nanos(s.profile_build_nanos)
     );
-    println!(
-        "  memo:         {} local hits, {} shared hits, {} misses",
-        s.memo_local_hits, s.memo_shared_hits, s.memo_misses
-    );
+    print_memo(&s);
     println!(
         "  pruned:       {} by the tail cut, {} per candidate",
         s.bound_pruned, s.topk_pruned
@@ -76,8 +73,15 @@ fn main() {
     println!("full sweep:     {dt:.2?} ({} feasible evaluations)", {
         evals.iter().filter(|e| e.feasible).count()
     });
+    print_memo(&s);
+}
+
+fn print_memo(s: &SearchStats) {
+    let probes = s.memo_shared_hits + s.memo_misses;
     println!(
-        "  memo:         {} local hits, {} shared hits, {} misses",
-        s.memo_local_hits, s.memo_shared_hits, s.memo_misses
+        "  memo:         {probes} probes, {} hits, {} misses (hit ratio {:.3})",
+        s.memo_shared_hits,
+        s.memo_misses,
+        s.memo_shared_hits as f64 / probes.max(1) as f64
     );
 }

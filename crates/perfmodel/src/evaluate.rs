@@ -72,62 +72,29 @@ fn comm_group(group: TpGroup, cfg: &ParallelConfig, placement: &Placement) -> Co
 /// already-resolved group.
 ///
 /// AllReduce patterns are priced under the configuration's
-/// [`Algorithm`] policy (`Auto` = NCCL-style fastest-of-three); every
-/// other collective runs rings, as in NCCL.
-///
-/// The heavyweight pricings — policy-dispatched AllReduce/AllToAll — are
-/// memoized ([`memo_f64`]) on `(algorithm, volume, group, system)`: the
-/// search prices the same pattern for every `(np, nd, interleave,
-/// placement)` candidate sharing a TP tuple, so hit rates are high and
-/// hits are bit-identical. Plain ring AG/RS/Broadcast formulas cost less
-/// than a cache probe and are computed directly. `sys_fp` is the caller's
-/// hoisted [`system_fingerprint`]. Taking the resolved [`CommGroup`]
-/// (rather than a placement) lets the branch-and-bound lower bound price
-/// *hypothetical* best-case groups through the same memo entries real
-/// placements use.
+/// [`Algorithm`] policy (`Auto` = NCCL-style fastest-of-three), AllToAll
+/// under the same knob (ring vs pairwise, `Auto` = fastest); every other
+/// collective runs rings, as in NCCL. Every price is closed-form and
+/// computed directly: the pass-level memos above this function
+/// ([`pass_comm_time`], [`pass_comm_lower_bound`]) absorb the repeats.
+/// Taking the resolved [`CommGroup`] (rather than a placement) lets the
+/// branch-and-bound lower bound price *hypothetical* best-case groups.
 fn exposed_time(
     coll: Collective,
     volume: f64,
     algo: Algorithm,
     grp: CommGroup,
     sys: &SystemSpec,
-    sys_fp: u64,
 ) -> f64 {
     match coll {
-        Collective::AllReduce => {
-            let key = fnv([
-                0x45, // "E"xposed
-                algo as u64,
-                volume.to_bits(),
-                grp.size(),
-                grp.per_domain(),
-                sys_fp,
-            ]);
-            memo_f64(key, || allreduce_time(algo, volume, grp, sys))
-        }
-        Collective::AllToAll => {
-            // MoE dispatch/combine: ring vs pairwise under the same
-            // policy knob (Auto = fastest, as NCCL would pick).
-            let key = fnv([
-                0x41, // "A"lltoall
-                algo as u64,
-                volume.to_bits(),
-                grp.size(),
-                grp.per_domain(),
-                sys_fp,
-            ]);
-            memo_f64(key, || alltoall_time(algo, volume, grp, sys))
-        }
+        Collective::AllReduce => allreduce_time(algo, volume, grp, sys),
+        Collective::AllToAll => alltoall_time(algo, volume, grp, sys),
         _ => collective_time(coll, volume, grp, sys),
     }
 }
 
 /// Exposed time of one [`CommPattern::SummaOverlapped`] panel schedule
-/// over already-resolved groups (memoized like [`exposed_time`]).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "two panel volumes and groups, the panel schedule and the memo's system key"
-)]
+/// over already-resolved groups, computed directly like [`exposed_time`].
 fn summa_time(
     vol_a: f64,
     vol_b: f64,
@@ -136,49 +103,32 @@ fn summa_time(
     grp_a: CommGroup,
     grp_b: CommGroup,
     sys: &SystemSpec,
-    sys_fp: u64,
 ) -> f64 {
-    let key = fnv([
-        0x53, // "S"umma
-        vol_a.to_bits(),
-        vol_b.to_bits(),
-        panels,
-        panel_compute.to_bits(),
-        grp_a.size(),
-        grp_a.per_domain(),
-        grp_b.size(),
-        grp_b.per_domain(),
-        sys_fp,
-    ]);
-    memo_f64(key, || {
-        let panels = panels.max(1) as f64;
-        // `vol_*` carry the (g−1)/g received factor; the broadcast
-        // of one panel moves the full panel tensor, so undo the
-        // factor.
-        let per_step = |vol: f64, grp: CommGroup| -> f64 {
-            if grp.size() <= 1 || vol <= 0.0 {
-                return 0.0;
-            }
-            let n = grp.size() as f64;
-            let tensor = vol * n / (n - 1.0) / panels;
-            collective_time(Collective::Broadcast, tensor, grp, sys)
-        };
-        let step_comm = per_step(vol_a, grp_a) + per_step(vol_b, grp_b);
-        // Prologue (first panel fully exposed) + exposed remainder
-        // of each subsequent panel after overlapping with compute.
-        step_comm + (panels - 1.0) * (step_comm - panel_compute).max(0.0)
-    })
+    let panels = panels.max(1) as f64;
+    // `vol_*` carry the (g−1)/g received factor; the broadcast of one
+    // panel moves the full panel tensor, so undo the factor.
+    let per_step = |vol: f64, grp: CommGroup| -> f64 {
+        if grp.size() <= 1 || vol <= 0.0 {
+            return 0.0;
+        }
+        let n = grp.size() as f64;
+        let tensor = vol * n / (n - 1.0) / panels;
+        collective_time(Collective::Broadcast, tensor, grp, sys)
+    };
+    let step_comm = per_step(vol_a, grp_a) + per_step(vol_b, grp_b);
+    // Prologue (first panel fully exposed) + exposed remainder of each
+    // subsequent panel after overlapping with compute.
+    step_comm + (panels - 1.0) * (step_comm - panel_compute).max(0.0)
 }
 
 /// Exposed time of one communication pattern under a placement: resolves
 /// the pattern's symbolic groups via [`comm_group`] and dispatches to the
-/// memoized pricing helpers.
+/// pricing helpers.
 fn pattern_time(
     pattern: &CommPattern,
     cfg: &ParallelConfig,
     placement: &Placement,
     sys: &SystemSpec,
-    sys_fp: u64,
 ) -> f64 {
     match pattern {
         CommPattern::Exposed {
@@ -191,7 +141,6 @@ fn pattern_time(
             cfg.comm_algo,
             comm_group(*group, cfg, placement),
             sys,
-            sys_fp,
         ),
         CommPattern::SummaOverlapped {
             vol_a,
@@ -208,7 +157,6 @@ fn pattern_time(
             comm_group(*group_a, cfg, placement),
             comm_group(*group_b, cfg, placement),
             sys,
-            sys_fp,
         ),
     }
 }
@@ -274,10 +222,9 @@ impl PassFingerprints {
 /// [`comm_group`] can read from the candidate (`n1`, `n2`, `ep`, the
 /// algorithm policy) and from the placement (`v1`, `v2`, and the
 /// expert group's derived per-domain share — `vp` never enters a pass
-/// pattern). In the all-hit steady state this turns the former
-/// one-probe-per-pattern inner loop into one probe per pass; on a miss
-/// the per-pattern sum below runs in the exact order it always did, so
-/// the published value is bit-identical to the unmemoized sum.
+/// pattern). In the all-hit steady state a pass costs one probe; on a
+/// miss the per-pattern sum below runs in the exact order it always did,
+/// so the published value is bit-identical to the unmemoized sum.
 fn pass_comm_time(
     comms: &[CommPattern],
     pass_fp: u64,
@@ -305,7 +252,7 @@ fn pass_comm_time(
     memo_f64(key, || {
         comms
             .iter()
-            .map(|p| pattern_time(p, cfg, placement, sys, sys_fp))
+            .map(|p| pattern_time(p, cfg, placement, sys))
             .sum()
     })
 }
@@ -642,15 +589,14 @@ pub fn largest_divisor_at_most(n: u64, cap: u64) -> u64 {
 /// hierarchical AllReduce is not. SUMMA patterns minimize over the
 /// cartesian product of both groups' options for the same reason.
 ///
-/// Pricing goes through the same memoized [`exposed_time`] /
-/// [`summa_time`] helpers as real placements, so bound probes warm the
-/// memo for the survivors' full evaluation.
+/// Pricing goes through the same [`exposed_time`] / [`summa_time`]
+/// helpers as real placements, so the bound and the evaluation price a
+/// group identically.
 fn pattern_lower_bound(
     pattern: &CommPattern,
     cfg: &ParallelConfig,
     budget: u64,
     sys: &SystemSpec,
-    sys_fp: u64,
 ) -> f64 {
     let group_size = |g: TpGroup| match g {
         TpGroup::N1 => cfg.n1,
@@ -667,16 +613,7 @@ fn pattern_lower_bound(
             divisors(n)
                 .into_iter()
                 .filter(|&d| d <= budget)
-                .map(|d| {
-                    exposed_time(
-                        *coll,
-                        *volume,
-                        cfg.comm_algo,
-                        CommGroup::new(n, d),
-                        sys,
-                        sys_fp,
-                    )
-                })
+                .map(|d| exposed_time(*coll, *volume, cfg.comm_algo, CommGroup::new(n, d), sys))
                 .fold(f64::INFINITY, f64::min)
         }
         CommPattern::SummaOverlapped {
@@ -701,7 +638,6 @@ fn pattern_lower_bound(
                         CommGroup::new(na, da),
                         CommGroup::new(nb, db),
                         sys,
-                        sys_fp,
                     ));
                 }
             }
@@ -739,7 +675,7 @@ fn pass_comm_lower_bound(
     memo_f64(key, || {
         comms
             .iter()
-            .map(|p| pattern_lower_bound(p, cfg, budget, sys, sys_fp))
+            .map(|p| pattern_lower_bound(p, cfg, budget, sys))
             .sum()
     })
 }

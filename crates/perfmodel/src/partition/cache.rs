@@ -29,12 +29,11 @@ use crate::config::{ParallelConfig, TpStrategy};
 use crate::evaluate::PassFingerprints;
 use crate::plan::LayerProfile;
 use rayon::prelude::*;
-use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{LazyLock, RwLock};
-use systems::{GpuSpec, SystemSpec};
+use systems::{GpuSpec, NetworkSpec, SystemSpec};
 use txmodel::TransformerConfig;
 
 /// The exact subset of [`ParallelConfig`] a layer profile depends on.
@@ -158,50 +157,53 @@ impl ProfileCache {
 }
 
 // ---------------------------------------------------------------------------
-// Collective-time memoization (per-placement pricing hot path)
+// Pass-sum memoization (per-placement pricing hot path)
 // ---------------------------------------------------------------------------
 //
-// `evaluate`'s per-placement pricing (`pattern_time` and the pass-level
-// sums above it) recomputes the same collective times for every
-// `(np, nd, bm, interleave, placement)` candidate sharing a TP tuple —
-// the SUMMA sweep alone prices millions of `(collective, volume, group)`
-// triples drawn from a few thousand distinct ones. The memo below caches
-// those scalar times in **two levels**:
-//
-// * **L1** — a thread-local `HashMap` probed first, lock-free. It absorbs
-//   the all-hit steady state, which is the actual hot path: once warm, a
-//   probe is one hash + one lookup with no synchronization at all.
-// * **L2** — a process-global, 64-way-sharded `RwLock` map shared by all
-//   workers. The vendored rayon pool spawns *fresh* scoped threads per
-//   parallel call, so every worker starts with an empty L1; before L2
-//   existed, each of them re-derived the same few thousand distinct
-//   pricings per call (8× redundant first-compute work at 8 threads —
-//   the profiling counters below confirmed the hypothesis). An L1 miss
-//   now falls through to a shared read lock; only a genuine first
-//   compute takes a shard's write lock.
+// `evaluate`'s per-placement pricing sums the exposed time of every
+// communication pattern in a layer pass, and the search repeats that sum
+// for every `(np, nd, interleave, placement)` candidate sharing a TP
+// tuple. The memo below caches those per-pass sums in **one level**: a
+// process-global, 64-way-sharded `RwLock` map shared by every worker. A
+// probe is one read lock on one shard; only a genuine first compute
+// takes that shard's write lock, and the compute itself runs outside any
+// lock.
 //
 // # Key scheme
 //
 // Keys are FNV-1a folds ([`fnv`]) over a domain tag byte plus every input
-// the priced value depends on:
+// the priced value depends on. There are two kinds (see
+// `crate::evaluate`):
 //
-// * `0x45`/`0x41` — exposed AllReduce / AllToAll: `(algo, volume bits,
-//   group size, per-domain share, system fingerprint)`;
-// * `0x53` — SUMMA overlapped panel schedule: `(volumes, panel count,
-//   panel compute bits, both groups, system fingerprint)`;
-// * `0x50`/`0x4C` — pass-level sum / pass-level lower bound (see
-//   `crate::evaluate`): `(pass fingerprint, algo, n1, n2, ep, placement
-//   projection or domain budget, system fingerprint)`.
+// * `0x50` — pass-level sum: `(pass fingerprint, algo, n1, n2, ep,
+//   placement projection, system fingerprint)`;
+// * `0x4C` — pass-level lower bound: `(pass fingerprint, algo, n1, n2,
+//   ep, domain budget, system fingerprint)`.
 //
 // The system fingerprint ([`system_fingerprint`]) folds every network
 // parameter a collective time reads, so one process can price many
 // systems against one shared memo.
 //
+// Individual collectives (AllReduce, AllToAll, the SUMMA panel schedule)
+// are closed-form and priced directly rather than memoized. A per-kind
+// probe census (fmbench, seed 42, 5 s runs) showed why: on `plan-warm`
+// the two pass kinds took 2.18M and 3.96M probes against 0.24M for the
+// three per-collective kinds together, and on `codesign-sweep` the SUMMA
+// kind alone made 3.85M of 5.66M inserts at a 44% hit ratio — memory
+// spent on entries that rarely paid back a probe.
+//
+// There is no thread-local level in front of the table. The pool spawns
+// fresh scoped workers on every parallel call, so a per-thread cache
+// started empty in every worker, and its counters only reached
+// `search_stats` when the thread exited. The price is a dearer hit: a
+// shard read lock plus a counter increment, ~34 ns single-threaded
+// against ~10 ns for a thread-local hit (2-core container, release).
+//
 // # Sharing lifecycle and determinism
 //
-// L2 is append-only for the process lifetime (entries are never evicted
-// or mutated — `f64` values are pure functions of their key, ~16 bytes
-// each). Two workers racing on the same first compute insert
+// The memo is append-only for the process lifetime (entries are never
+// evicted or mutated — `f64` values are pure functions of their key,
+// ~16 bytes each). Two workers racing on the same first compute insert
 // **bit-identical** values, so last-write-wins is harmless; hits return
 // exactly the bits the first compute produced. Memoization therefore
 // never changes results — only speed — and the search stays bit-identical
@@ -210,19 +212,18 @@ impl ProfileCache {
 /// Profiling counters for the S3 search hot path (process-global).
 ///
 /// Returned by [`search_stats`]; reset with [`reset_search_stats`].
-/// Counter updates are batched thread-locally and flushed when a worker
-/// thread exits (the vendored pool joins its scoped workers before a
-/// parallel call returns) and by [`search_stats`] itself for the calling
-/// thread — so reading stats *between* searches from the thread that ran
-/// them sees every event. Note the counters are global: concurrent
-/// searches (e.g. parallel `cargo test` threads) add to the same tallies,
-/// so tests should assert on deltas, not absolute values.
+/// Every counter is an atomic updated at the event, so a snapshot from
+/// any thread counts every probe and prune that has completed anywhere.
+/// Note the counters are global: concurrent searches (e.g. parallel
+/// `cargo test` threads) add to the same tallies, so tests should assert
+/// on deltas, not absolute values.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Collective-time memo probes answered by the thread-local L1.
+    /// Always 0: the pricing memo has one level, and every hit is counted
+    /// in `memo_shared_hits`. The field is kept so the struct keeps its
+    /// shape for code that builds it by literal.
     pub memo_local_hits: u64,
-    /// Probes that missed L1 but hit the shared L2 — exactly the work
-    /// per-thread caches used to redo per worker before sharing.
+    /// Pricing-memo probes answered from the shared table.
     pub memo_shared_hits: u64,
     /// Probes that computed (and published) a new value.
     pub memo_misses: u64,
@@ -245,70 +246,23 @@ pub struct SearchStats {
     pub topk_pruned: u64,
 }
 
-static MEMO_LOCAL_HITS: AtomicU64 = AtomicU64::new(0);
-static MEMO_SHARED_HITS: AtomicU64 = AtomicU64::new(0);
-static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
 static PROFILE_BUILDS: AtomicU64 = AtomicU64::new(0);
 static PROFILE_BUILD_NANOS: AtomicU64 = AtomicU64::new(0);
 static BOUND_PRUNED: AtomicU64 = AtomicU64::new(0);
 static TOPK_PRUNED: AtomicU64 = AtomicU64::new(0);
 
-/// Thread-local probe tallies: plain `Cell` bumps on the all-hit hot path
-/// (an atomic `fetch_add` per probe would cost real time at millions of
-/// probes), flushed to the globals on thread exit via `Drop`.
-struct LocalCounts {
-    local_hits: Cell<u64>,
-    shared_hits: Cell<u64>,
-    misses: Cell<u64>,
-}
-
-impl LocalCounts {
-    fn flush(&self) {
-        for (cell, global) in [
-            (&self.local_hits, &MEMO_LOCAL_HITS),
-            (&self.shared_hits, &MEMO_SHARED_HITS),
-            (&self.misses, &MEMO_MISSES),
-        ] {
-            let n = cell.replace(0);
-            if n > 0 {
-                global.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-impl Drop for LocalCounts {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-thread_local! {
-    static LOCAL_COUNTS: LocalCounts = const {
-        LocalCounts {
-            local_hits: Cell::new(0),
-            shared_hits: Cell::new(0),
-            misses: Cell::new(0),
-        }
-    };
-}
-
-#[inline]
-fn bump(pick: impl Fn(&LocalCounts) -> &Cell<u64>) {
-    let _ = LOCAL_COUNTS.try_with(|c| {
-        let cell = pick(c);
-        cell.set(cell.get() + 1);
-    });
-}
-
-/// A snapshot of the global [`SearchStats`] counters (flushing the calling
-/// thread's pending tallies first).
+/// A snapshot of the global [`SearchStats`] counters.
 pub fn search_stats() -> SearchStats {
-    let _ = LOCAL_COUNTS.try_with(LocalCounts::flush);
+    let (hits, misses) = SHARED_MEMO.iter().fold((0, 0), |(h, m), shard| {
+        (
+            h + shard.hits.load(Ordering::Relaxed),
+            m + shard.misses.load(Ordering::Relaxed),
+        )
+    });
     SearchStats {
-        memo_local_hits: MEMO_LOCAL_HITS.load(Ordering::Relaxed),
-        memo_shared_hits: MEMO_SHARED_HITS.load(Ordering::Relaxed),
-        memo_misses: MEMO_MISSES.load(Ordering::Relaxed),
+        memo_local_hits: 0,
+        memo_shared_hits: hits,
+        memo_misses: misses,
         profile_builds: PROFILE_BUILDS.load(Ordering::Relaxed),
         profile_build_nanos: PROFILE_BUILD_NANOS.load(Ordering::Relaxed),
         bound_pruned: BOUND_PRUNED.load(Ordering::Relaxed),
@@ -317,19 +271,17 @@ pub fn search_stats() -> SearchStats {
     }
 }
 
-/// Zeroes the global [`SearchStats`] counters (call between searches,
-/// from the thread that runs them).
+/// Zeroes the global [`SearchStats`] counters (call between searches).
 pub fn reset_search_stats() {
-    let _ = LOCAL_COUNTS.try_with(LocalCounts::flush);
-    for g in [
-        &MEMO_LOCAL_HITS,
-        &MEMO_SHARED_HITS,
-        &MEMO_MISSES,
+    let memo = SHARED_MEMO
+        .iter()
+        .flat_map(|shard| [&shard.hits, &shard.misses]);
+    for g in memo.chain([
         &PROFILE_BUILDS,
         &PROFILE_BUILD_NANOS,
         &BOUND_PRUNED,
         &TOPK_PRUNED,
-    ] {
+    ]) {
         g.store(0, Ordering::Relaxed);
     }
 }
@@ -364,15 +316,37 @@ pub(crate) fn fnv(parts: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// Fingerprint of every [`SystemSpec`] field a collective time depends on.
+///
+/// Both structs are destructured exhaustively, so a new field fails to
+/// compile here until it is either folded in or named as ignored. The
+/// ignored ones never reach a memoized price: pricing does not read
+/// `name` or `reliability`, and GPU-derived inputs (such as SUMMA panel
+/// compute) reach it only through the pattern list, which the pass
+/// fingerprint folds.
 pub(crate) fn system_fingerprint(sys: &SystemSpec) -> u64 {
+    let SystemSpec {
+        name: _,
+        gpu: _,
+        network,
+        nvs_size,
+        nics_per_node,
+        reliability: _,
+    } = sys;
+    let NetworkSpec {
+        nvs_bandwidth,
+        nvs_latency,
+        ib_bandwidth,
+        ib_latency,
+        bandwidth_efficiency,
+    } = network;
     fnv([
-        sys.network.nvs_bandwidth.to_bits(),
-        sys.network.nvs_latency.to_bits(),
-        sys.network.ib_bandwidth.to_bits(),
-        sys.network.ib_latency.to_bits(),
-        sys.network.bandwidth_efficiency.to_bits(),
-        sys.nvs_size,
-        sys.nics_per_node,
+        nvs_bandwidth.to_bits(),
+        nvs_latency.to_bits(),
+        ib_bandwidth.to_bits(),
+        ib_latency.to_bits(),
+        bandwidth_efficiency.to_bits(),
+        *nvs_size,
+        *nics_per_node,
     ])
 }
 
@@ -394,29 +368,35 @@ impl Hasher for KeyHasher {
 
 type MemoMap = HashMap<u64, f64, BuildHasherDefault<KeyHasher>>;
 
-thread_local! {
-    /// L1: per-thread pricing memo, probed lock-free before L2.
-    static COLLECTIVE_MEMO: RefCell<MemoMap> = RefCell::new(HashMap::default());
-}
-
-/// Number of L2 shards. A power of two; the shard index is the key's top
-/// bits ([`shard_of`]), which are independent of the low bits `HashMap`'s
-/// pass-through [`KeyHasher`] buckets by — so sharding does not skew the
-/// in-shard bucket distribution.
+/// Number of memo shards. A power of two; the shard index is the key's
+/// top bits ([`shard_of`]), which are independent of the low bits
+/// `HashMap`'s pass-through [`KeyHasher`] buckets by — so sharding does
+/// not skew the in-shard bucket distribution.
 const MEMO_SHARDS: usize = 64;
 
-/// L2: the shared, sharded pricing memo (see the section comment above
-/// for the sharing lifecycle). Sharding keeps write locks from
-/// serializing concurrent first computes; reads take a shard's `RwLock`
-/// read lock, which is uncontended once the table is warm.
-static SHARED_MEMO: LazyLock<Vec<RwLock<MemoMap>>> = LazyLock::new(|| {
+/// One shard of the pricing memo and its probe counters.
+struct MemoShard {
+    map: RwLock<MemoMap>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// The shared, sharded pricing memo (see the section comment above for
+/// the sharing lifecycle). Sharding keeps write locks from serializing
+/// concurrent first computes; reads take a shard's `RwLock` read lock,
+/// which is uncontended once the table is warm.
+static SHARED_MEMO: LazyLock<Vec<MemoShard>> = LazyLock::new(|| {
     (0..MEMO_SHARDS)
-        .map(|_| RwLock::new(HashMap::default()))
+        .map(|_| MemoShard {
+            map: RwLock::new(HashMap::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        })
         .collect()
 });
 
 #[inline]
-fn shard_of(key: u64) -> &'static RwLock<MemoMap> {
+fn shard_of(key: u64) -> &'static MemoShard {
     &SHARED_MEMO[(key >> (64 - MEMO_SHARDS.trailing_zeros())) as usize]
 }
 
@@ -425,39 +405,31 @@ fn shard_of(key: u64) -> &'static RwLock<MemoMap> {
 /// function of the key: racing first computes then insert bit-identical
 /// values, keeping results independent of thread count.
 pub(crate) fn memo_f64(key: u64, compute: impl FnOnce() -> f64) -> f64 {
-    if let Some(v) = COLLECTIVE_MEMO.with(|m| m.borrow().get(&key).copied()) {
-        bump(|c| &c.local_hits);
-        return v;
-    }
     let shard = shard_of(key);
     // Poison-tolerant: a panicked holder can at worst have skipped an
     // insert of a pure value — the map is never torn, so continuing with
     // the inner guard is sound (and keeps one worker's panic from
     // cascading into every other search thread).
-    let shared = shard
+    let cached = shard
+        .map
         .read()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .get(&key)
         .copied();
-    let v = match shared {
-        Some(v) => {
-            bump(|c| &c.shared_hits);
-            v
-        }
-        None => {
-            // Compute outside any lock: pricing can be expensive and must
-            // not serialize other shard traffic (duplicate computes are
-            // rare and harmless — identical bits).
-            let v = compute();
-            bump(|c| &c.misses);
-            shard
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert(key, v);
-            v
-        }
-    };
-    COLLECTIVE_MEMO.with(|m| m.borrow_mut().insert(key, v));
+    if let Some(v) = cached {
+        shard.hits.fetch_add(1, Ordering::Relaxed);
+        return v;
+    }
+    // Compute outside any lock: pricing can be expensive and must not
+    // serialize other shard traffic (duplicate computes are rare and
+    // harmless — identical bits).
+    let v = compute();
+    shard.misses.fetch_add(1, Ordering::Relaxed);
+    shard
+        .map
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .insert(key, v);
     v
 }
 
@@ -537,9 +509,9 @@ mod tests {
     #[test]
     fn shared_memo_publishes_across_threads() {
         // A value computed on one thread must be visible to a brand-new
-        // thread (empty L1) through the shared L2 — the property that
-        // stops the pool's fresh scoped workers from re-pricing the same
-        // collectives per worker.
+        // thread through the shared table — the property that stops the
+        // pool's fresh scoped workers from re-pricing the same passes per
+        // worker.
         let key = fnv([0x7e57, line!() as u64, 0x5eed]);
         let before = search_stats();
         assert_eq!(memo_f64(key, || 2.5), 2.5);
@@ -555,13 +527,24 @@ mod tests {
     }
 
     #[test]
-    fn local_hits_are_counted() {
-        let key = fnv([0x10ca1, line!() as u64]);
-        let _ = memo_f64(key, || 1.0);
+    fn probes_are_counted_while_the_probing_thread_lives() {
+        // The counters live beside the shards, not in the prober's thread:
+        // a probe is visible to every other thread as soon as it returns,
+        // even while the probing thread is still alive.
+        let key = fnv([0xc0c0, line!() as u64]);
         let before = search_stats();
-        let _ = memo_f64(key, || f64::NAN);
+        let (probed_tx, probed_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            let v = memo_f64(key, || 3.5);
+            probed_tx.send(v).unwrap();
+            release_rx.recv().unwrap();
+        });
+        assert_eq!(probed_rx.recv().unwrap(), 3.5);
         let after = search_stats();
-        assert!(after.memo_local_hits > before.memo_local_hits);
+        release_tx.send(()).unwrap();
+        worker.join().unwrap();
+        assert!(after.memo_misses > before.memo_misses);
     }
 
     #[test]
@@ -578,14 +561,41 @@ mod tests {
 
     #[test]
     fn system_fingerprint_separates_systems() {
-        use systems::{system, NvsSize};
+        use systems::{system, NvsSize, ReliabilitySpec};
         let a = system(GpuGeneration::A100, NvsSize::Nvs4);
         let b = system(GpuGeneration::B200, NvsSize::Nvs8);
         assert_ne!(system_fingerprint(&a), system_fingerprint(&b));
         assert_eq!(system_fingerprint(&a), system_fingerprint(&a.clone()));
-        let mut fewer_nics = a.clone();
-        fewer_nics.nics_per_node = 1;
-        assert_ne!(system_fingerprint(&a), system_fingerprint(&fewer_nics));
+        // Every folded field separates systems; the ignored ones do not.
+        type Perturb = fn(&mut SystemSpec);
+        let folded: [(&str, Perturb); 7] = [
+            ("nvs_bandwidth", |s| s.network.nvs_bandwidth *= 2.0),
+            ("nvs_latency", |s| s.network.nvs_latency *= 2.0),
+            ("ib_bandwidth", |s| s.network.ib_bandwidth *= 2.0),
+            ("ib_latency", |s| s.network.ib_latency *= 2.0),
+            ("bandwidth_efficiency", |s| {
+                s.network.bandwidth_efficiency *= 0.5
+            }),
+            ("nvs_size", |s| s.nvs_size *= 2),
+            ("nics_per_node", |s| s.nics_per_node += 1),
+        ];
+        let ignored: [(&str, Perturb); 2] = [
+            ("name", |s| s.name.push_str("-renamed")),
+            ("reliability", |s| {
+                s.reliability = ReliabilitySpec::failure_free()
+            }),
+        ];
+        for (field, perturb) in folded {
+            let mut p = a.clone();
+            perturb(&mut p);
+            assert_ne!(system_fingerprint(&a), system_fingerprint(&p), "{field}");
+        }
+        for (field, perturb) in ignored {
+            let mut p = a.clone();
+            perturb(&mut p);
+            assert_ne!(a, p, "{field} perturbation must change the system");
+            assert_eq!(system_fingerprint(&a), system_fingerprint(&p), "{field}");
+        }
     }
 
     #[test]

@@ -123,8 +123,8 @@ fn prunes_are_exact_across_thread_counts() {
 #[test]
 fn shared_memo_serves_fresh_worker_threads() {
     // Warm the process-wide shared table on the calling thread, then run
-    // the same search on a fresh 8-worker pool: the workers' thread-local
-    // L1 memos start empty, so their hits must come from the shared L2.
+    // the same search on a fresh 8-worker pool: the workers are new
+    // threads, so their hits show that the table is shared.
     let model = vit_64k().config;
     let sys = b200_nvs8();
     let planner = Planner::new(&model, &sys).space(space(256, 4096, TpStrategy::Summa));
